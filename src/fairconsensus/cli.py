@@ -13,10 +13,30 @@ rename), so a failing command leaves no partial outputs. Wall-clock timings
 go to a separate ``timing`` sidecar so the data files are byte-identical
 across reruns with the same inputs and seeds.
 
+Experiment config
+-----------------
+A JSON object; paths are relative to the config file. Required keys:
+``candidates`` (CSV path); ``methods`` (non-empty list of method names);
+``thetas`` (non-empty list of finite dispersions >= 0); ``deltas``
+(non-empty list of thresholds, decimal strings or numbers in [0, 1] with at
+most 6 fractional digits); ``trials`` and ``num_rankings`` (integers >= 1);
+``seed`` (integer); and exactly one of ``modal`` (CSV holding one ranking)
+or ``scenario``. A scenario is a preset name (``low-fair``,
+``medium-fair``, ``high-fair``, windowed by ``tolerance``, default
+``"0.05"``) or an object ``{"arp": {attr: [target, tolerance]}, "irp":
+[target, tolerance]}``. Optional keys: ``intersection`` is ``"all"``
+(default), ``"none"`` or null, a list of attribute names, or the same names
+as one comma-separated string, as ``--intersection`` takes them;
+``attributes`` is ``"all"`` (default) or ``"none"``; ``scenario_seed``
+(integer, default ``seed``); ``budget_ms`` (integer >= 0); ``max_nodes``
+and ``max_exact_n`` (integers); ``out`` (used without ``--out``). Integer
+keys take JSON integers or decimal strings. A missing or malformed value
+exits 2 before anything is written.
+
 Exit codes: 0 success; 2 unusable input (parse or validation failure,
-unknown flag values, oversized exact instances); 3 no ranking can satisfy
-the thresholds; 4 swap repair stalled; 5 time budget exhausted with no
-result; 6 scenario targets unreachable.
+unknown flag values, malformed ``FAIRCONSENSUS_BUDGET_MS``, oversized exact
+instances); 3 no ranking can satisfy the thresholds; 4 swap repair stalled;
+5 time budget exhausted with no result; 6 scenario targets unreachable.
 """
 
 from __future__ import annotations
@@ -26,16 +46,20 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import sys
 import tempfile
 import time
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .consensus import (
+    BUDGET_ENV_VAR,
     DEFAULT_MAX_EXACT_N,
     KemenySolution,
     borda,
@@ -47,17 +71,11 @@ from .consensus import (
 )
 from .errors import (
     BudgetExceeded,
-    DegenerateAttribute,
-    DegenerateGroup,
-    DegenerateIntersection,
     FairConsensusError,
     Infeasible,
-    InconsistentCandidateSet,
-    InstanceTooLarge,
     ParseError,
     RepairStalled,
     ScenarioUnreachable,
-    UnknownAttribute,
 )
 from .fair import fair_kemeny, fair_pipeline
 from .mallows import (
@@ -77,6 +95,7 @@ from .metrics import (
 from .model import (
     ALL,
     CandidateTable,
+    GroupIndex,
     Ranking,
     RankingSet,
     build_group_index,
@@ -130,6 +149,11 @@ def decimal_string(value: Fraction, digits: int = 6) -> str:
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
+def decimal_cell(value: Fraction | None) -> str:
+    """CSV cell for an optional rational: empty when absent."""
+    return "" if value is None else decimal_string(value)
+
+
 def fraction_json(value: Fraction | None) -> dict | None:
     if value is None:
         return None
@@ -159,6 +183,62 @@ def parse_delta(text: str, what: str = "delta") -> Fraction:
     if not 0 <= value <= 1:
         raise ParseError(f"{what} must lie in [0, 1], got {text!r}")
     return value
+
+
+def parse_int(value, what: str, minimum: int | None = None) -> int:
+    """An integer given as an int or a decimal string, at least ``minimum``."""
+    try:
+        if not isinstance(value, (int, str)):
+            raise ValueError
+        number = int(value)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ParseError(f"{what} must be at least {minimum}, got {value!r}")
+    return number
+
+
+def parse_theta(value, what: str = "theta") -> float:
+    """A Mallows dispersion: a finite number >= 0."""
+    try:
+        theta = float(value)
+    except (TypeError, ValueError):
+        theta = math.nan
+    if not (math.isfinite(theta) and theta >= 0):
+        raise ParseError(f"{what} must be a finite number >= 0, got {value!r}")
+    return theta
+
+
+def intersection_scope(value, table: CandidateTable) -> tuple[str, ...] | str | None:
+    """``ALL``, ``None`` or the named attributes forming the intersection.
+
+    ``value`` is ``"all"``, ``"none"``/``None``, a list of attribute names
+    or those names as one comma-separated string.
+    """
+    if value == "all":
+        return ALL
+    if value in ("none", None):
+        return None
+    if isinstance(value, str):
+        names = tuple(part.strip() for part in value.split(","))
+    elif isinstance(value, list) and all(isinstance(name, str) for name in value):
+        names = tuple(value)
+    else:
+        raise ParseError(
+            "intersection must be 'all', 'none', or attribute names as a list "
+            f"or a comma-separated string, got {value!r}"
+        )
+    for name in names:
+        table.attribute_index(name)
+    return names
+
+
+def solver_budget_ms(value: int | None, what: str) -> int | None:
+    """A solver time budget; without one, the environment default, if set."""
+    if value is None:
+        value = os.environ.get(BUDGET_ENV_VAR) or None
+        what = BUDGET_ENV_VAR
+    return None if value is None else parse_int(value, what, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +468,6 @@ def build_fairness_spec(args: argparse.Namespace, table: CandidateTable) -> Fair
             raise ParseError(f"--delta-attr expects NAME=VALUE, got {item!r}")
         table.attribute_index(name)
         overrides[name] = parse_delta(value, f"--delta-attr {name}")
-    if args.intersection == "all":
-        intersection_attrs: tuple[str, ...] | str | None = ALL
-    elif args.intersection == "none":
-        intersection_attrs = None
-    else:
-        names = tuple(part.strip() for part in args.intersection.split(","))
-        for name in names:
-            table.attribute_index(name)
-        intersection_attrs = names
     return FairnessSpec(
         delta_default=parse_delta(args.delta, "--delta"),
         delta_attributes=overrides,
@@ -405,7 +476,7 @@ def build_fairness_spec(args: argparse.Namespace, table: CandidateTable) -> Fair
             if args.delta_inter is None
             else parse_delta(args.delta_inter, "--delta-inter")
         ),
-        intersection_attrs=intersection_attrs,
+        intersection_attrs=intersection_scope(args.intersection, table),
         constrain_attributes=args.attributes == "all",
     )
 
@@ -414,94 +485,108 @@ def build_fairness_spec(args: argparse.Namespace, table: CandidateTable) -> Fair
 # aggregate
 
 
-def _aggregate_once(
+@dataclass
+class _Instance:
+    """One ranking set with its group index and solver limits.
+
+    The precedence matrix and the unaware Kemeny solution are built on
+    first use and then shared by every method solved on this instance.
+    """
+
+    rankings: RankingSet
+    index: GroupIndex
+    budget_ms: int | None
+    max_exact_n: int
+    max_nodes: int | None
+
+    @cached_property
+    def matrix(self):
+        return build_precedence_matrix(self.rankings, self.index.table)
+
+    @cached_property
+    def kemeny(self) -> KemenySolution:
+        return kemeny_exact(
+            self.matrix, time_budget_ms=self.budget_ms, max_exact_n=self.max_exact_n
+        )
+
+
+@dataclass
+class _Solved:
+    """A method's consensus and what the reports say about how it was found."""
+
+    ranking: Ranking
+    objective: int | None = None
+    optimal: bool | None = None
+    nodes_explored: int | None = None
+    swaps: int | None = None
+    pd_loss_unaware: Fraction | None = None
+    price_of_fairness: Fraction | None = None
+
+
+def _solve(
     method: str,
-    rankings: RankingSet,
+    instance: _Instance,
     spec: FairnessSpec,
-    index,
     *,
-    budget_ms: int | None,
-    max_exact_n: int,
     want_pof: bool,
-    max_nodes: int | None = None,
-):
-    """Run one method; returns (consensus, extras dict for the report)."""
-    table = index.table
-    extras: dict = {
-        "objective": None,
-        "optimal": None,
-        "nodes_explored": None,
-        "swaps": None,
-        "pd_loss_unaware": None,
-        "price_of_fairness": None,
-    }
+    warm: Ranking | None = None,
+) -> _Solved:
+    """Run one method on one instance, for both aggregate and experiment.
 
-    def note_solution(solution: KemenySolution) -> Ranking:
-        extras["objective"] = solution.objective
-        extras["optimal"] = solution.optimal
-        extras["nodes_explored"] = solution.nodes_explored
-        return solution.ranking
-
-    def unaware_kemeny_pof(consensus: Ranking) -> None:
-        if not want_pof:
-            return
-        base = kemeny_exact(
-            build_precedence_matrix(rankings, table),
-            time_budget_ms=budget_ms,
-            max_exact_n=max_exact_n,
+    ``warm`` seeds the fair-kemeny search (other methods ignore it).
+    ``want_pof`` prices fairness for fair-kemeny and kemeny-weighted
+    against the unaware Kemeny solution; the repair pipelines always do.
+    """
+    rankings, index = instance.rankings, instance.index
+    if method in _PIPELINE_BASE:
+        result = fair_pipeline(
+            _PIPELINE_BASE[method], rankings, spec, index, collect_swaps=False
         )
-        before = pd_loss(rankings, base.ranking)
-        extras["pd_loss_unaware"] = before
-        extras["price_of_fairness"] = pd_loss(rankings, consensus) - before
-
+        return _Solved(
+            result.ranking,
+            swaps=result.trace.iterations,
+            pd_loss_unaware=result.pd_loss_unaware,
+            price_of_fairness=result.price_of_fairness,
+        )
+    if method == "borda":
+        return _Solved(borda(rankings, index.table))
+    if method == "copeland":
+        return _Solved(copeland(instance.matrix))
+    if method == "schulze":
+        return _Solved(schulze(instance.matrix))
+    if method == "pick-fairest":
+        return _Solved(pick_fairest(rankings, spec, index))
     if method == "kemeny":
-        consensus = note_solution(
-            kemeny_exact(
-                build_precedence_matrix(rankings, table),
-                time_budget_ms=budget_ms,
-                max_exact_n=max_exact_n,
-            )
-        )
+        solution = instance.kemeny
     elif method == "fair-kemeny":
-        consensus = note_solution(
-            fair_kemeny(
-                build_precedence_matrix(rankings, table),
-                spec,
-                index,
-                time_budget_ms=budget_ms,
-                max_exact_n=max_exact_n,
-                max_nodes=max_nodes,
-            )
+        solution = fair_kemeny(
+            instance.matrix,
+            spec,
+            index,
+            time_budget_ms=instance.budget_ms,
+            max_exact_n=instance.max_exact_n,
+            max_nodes=instance.max_nodes,
+            warm_starts=() if warm is None else (warm,),
         )
-        unaware_kemeny_pof(consensus)
     elif method == "kemeny-weighted":
-        consensus = note_solution(
-            kemeny_weighted(
-                rankings,
-                spec,
-                index,
-                time_budget_ms=budget_ms,
-                max_exact_n=max_exact_n,
-            )
+        solution = kemeny_weighted(
+            rankings,
+            spec,
+            index,
+            time_budget_ms=instance.budget_ms,
+            max_exact_n=instance.max_exact_n,
         )
-        unaware_kemeny_pof(consensus)
-    elif method == "borda":
-        consensus = borda(rankings, table)
-    elif method == "copeland":
-        consensus = copeland(build_precedence_matrix(rankings, table))
-    elif method == "schulze":
-        consensus = schulze(build_precedence_matrix(rankings, table))
-    elif method == "pick-fairest":
-        consensus = pick_fairest(rankings, spec, index)
-    elif method in _PIPELINE_BASE:
-        result = fair_pipeline(_PIPELINE_BASE[method], rankings, spec, index)
-        consensus = result.ranking
-        extras["swaps"] = result.trace.iterations
-        extras["pd_loss_unaware"] = result.pd_loss_unaware
-        extras["price_of_fairness"] = result.price_of_fairness
     else:
         raise ParseError(f"unknown method {method!r}")
-    return consensus, extras
+    solved = _Solved(
+        solution.ranking, solution.objective, solution.optimal, solution.nodes_explored
+    )
+    if want_pof and method != "kemeny":
+        solved.pd_loss_unaware = pd_loss(rankings, instance.kemeny.ranking)
+        solved.price_of_fairness = (
+            pd_loss(rankings, solution.ranking) - solved.pd_loss_unaware
+        )
+    return solved
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
@@ -509,18 +594,16 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     table = read_candidates(args.candidates)
     rankings = read_rankings(args.rankings, table)
     spec = build_fairness_spec(args, table)
-    index = spec.build_index(table)
-    consensus, extras = _aggregate_once(
-        args.method,
+    instance = _Instance(
         rankings,
-        spec,
-        index,
-        budget_ms=args.budget_ms,
+        spec.build_index(table),
+        budget_ms=solver_budget_ms(args.budget_ms, "--budget-ms"),
         max_exact_n=args.max_exact_n,
-        want_pof=not args.no_pof,
         max_nodes=args.max_nodes,
     )
-    report = evaluate_fairness(consensus, spec, index)
+    solved = _solve(args.method, instance, spec, want_pof=not args.no_pof)
+    consensus = solved.ranking
+    report = evaluate_fairness(consensus, spec, instance.index)
     loss = pd_loss(rankings, consensus)
     payload = {
         "method": args.method,
@@ -529,12 +612,12 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         "consensus": list(consensus.order),
         "fairness": fairness_report_json(report),
         "pd_loss": fraction_json(loss),
-        "pd_loss_unaware": fraction_json(extras["pd_loss_unaware"]),
-        "price_of_fairness": fraction_json(extras["price_of_fairness"]),
-        "swaps": extras["swaps"],
-        "objective": extras["objective"],
-        "optimal": extras["optimal"],
-        "nodes_explored": extras["nodes_explored"],
+        "pd_loss_unaware": fraction_json(solved.pd_loss_unaware),
+        "price_of_fairness": fraction_json(solved.price_of_fairness),
+        "swaps": solved.swaps,
+        "objective": solved.objective,
+        "optimal": solved.optimal,
+        "nodes_explored": solved.nodes_explored,
         "inputs": {
             "candidates_sha256": sha256_file(args.candidates),
             "rankings_sha256": sha256_file(args.rankings),
@@ -594,11 +677,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
                 cells.append(decimal_string(report.attribute_shares[name][label]))
             for entity in index.attribute_entities:
                 cells.append(decimal_string(report.attribute_spreads[entity.name]))
-            cells.append(
-                ""
-                if report.intersection_spread is None
-                else decimal_string(report.intersection_spread)
-            )
+            cells.append(decimal_cell(report.intersection_spread))
             cells.append(decimal_string(loss))
             csv_rows.append(cells)
 
@@ -637,17 +716,13 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 # generate
 
 
-def _scenario_from_name(
-    name: str, table: CandidateTable, tolerance: Fraction
-) -> ScenarioTargets:
-    return scenario_targets(name, table.attributes, tolerance)
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     table = read_candidates(args.candidates)
     if (args.modal is None) == (args.scenario is None):
         raise ParseError("exactly one of --modal and --scenario is required")
+    theta = parse_theta(args.theta, "--theta")
+    num_rankings = parse_int(args.num_rankings, "--num-rankings", 1)
     index = None
     targets = None
     if args.modal is not None:
@@ -663,10 +738,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
         tolerance = parse_delta(args.tolerance, "--tolerance")
         if tolerance == 0:
             raise ParseError("--tolerance must be positive")
-        targets = _scenario_from_name(args.scenario, table, tolerance)
+        targets = scenario_targets(args.scenario, table.attributes, tolerance)
         modal = build_scenario(index, targets, args.seed)
 
-    config = MallowsConfig(modal, args.theta, args.num_rankings, args.seed)
+    config = MallowsConfig(modal, theta, num_rankings, args.seed)
     sampled = sample_mallows(config)
     files = {"rankings.csv": rankings_csv_text(sampled.rankings)}
     if args.scenario is not None:
@@ -728,24 +803,35 @@ def _experiment_targets(config: dict, table: CandidateTable) -> ScenarioTargets:
         _config_delta_text(config.get("tolerance", "0.05")), "tolerance"
     )
     if isinstance(scenario, str):
-        return _scenario_from_name(scenario, table, tolerance)
-    if not isinstance(scenario, dict):
+        try:
+            return scenario_targets(scenario, table.attributes, tolerance)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
+    if not isinstance(scenario, dict) or not isinstance(scenario.get("arp", {}), dict):
         raise ParseError("scenario must be a preset name or a target object")
+
+    def window(pair, what: str) -> tuple[Fraction, Fraction]:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ParseError(f"{what} must be a [target, tolerance] pair, got {pair!r}")
+        return (
+            parse_delta(_config_delta_text(pair[0]), f"{what} target"),
+            parse_delta(_config_delta_text(pair[1]), f"{what} tolerance"),
+        )
+
     arp = {}
     for name, pair in scenario.get("arp", {}).items():
         table.attribute_index(name)
-        arp[name] = (
-            parse_delta(_config_delta_text(pair[0]), f"arp target {name}"),
-            parse_delta(_config_delta_text(pair[1]), f"arp tolerance {name}"),
-        )
-    irp = None
-    if scenario.get("irp") is not None:
-        pair = scenario["irp"]
-        irp = (
-            parse_delta(_config_delta_text(pair[0]), "irp target"),
-            parse_delta(_config_delta_text(pair[1]), "irp tolerance"),
-        )
+        arp[name] = window(pair, f"arp {name}")
+    irp = None if scenario.get("irp") is None else window(scenario["irp"], "irp")
     return ScenarioTargets(arp, irp)
+
+
+#: Run status recorded for a cell whose solve raised one of these errors.
+_CELL_STATUS: dict[type, str] = {
+    Infeasible: "infeasible",
+    RepairStalled: "repair-stalled",
+    BudgetExceeded: "budget-exceeded",
+}
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -756,61 +842,69 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             config = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{config_path}: invalid JSON ({exc})") from exc
+    if not isinstance(config, dict):
+        raise ParseError(f"{config_path}: the config must be a JSON object")
 
     def require(key: str):
         if key not in config:
             raise ParseError(f"{config_path}: missing required key {key!r}")
         return config[key]
 
+    def grid(key: str) -> list:
+        values = require(key)
+        if not isinstance(values, list) or not values:
+            raise ParseError(f"{config_path}: {key!r} must be a non-empty list")
+        return values
+
+    def path(key: str) -> Path:
+        value = require(key)
+        if not isinstance(value, str):
+            raise ParseError(f"{config_path}: {key!r} must be a path, got {value!r}")
+        return config_path.parent / value
+
     out_dir = args.out if args.out else config.get("out")
     if not out_dir:
         raise ParseError("output directory required (--out or config 'out')")
-    base_dir = config_path.parent
 
-    table = read_candidates(base_dir / require("candidates"))
-    methods = require("methods")
-    thetas = require("thetas")
-    delta_texts = [_config_delta_text(d) for d in require("deltas")]
-    trials = int(require("trials"))
-    num_rankings = int(require("num_rankings"))
-    base_seed = int(require("seed"))
-    budget_ms = config.get("budget_ms")
-    max_exact_n = int(config.get("max_exact_n", DEFAULT_MAX_EXACT_N))
-    max_nodes = config.get("max_nodes")
-    if max_nodes is not None:
-        max_nodes = int(max_nodes)
-    if not methods or not thetas or not delta_texts or trials < 1:
-        raise ParseError(f"{config_path}: grids must be non-empty and trials >= 1")
+    table = read_candidates(path("candidates"))
+    methods = grid("methods")
     for method in methods:
         if method not in METHODS:
             raise ParseError(f"{config_path}: unknown method {method!r}")
-
-    intersection = config.get("intersection", "all")
-    if intersection == "all":
-        intersection_attrs: tuple[str, ...] | str | None = ALL
-    elif intersection in ("none", None):
-        intersection_attrs = None
-    else:
-        for name in intersection:
-            table.attribute_index(name)
-        intersection_attrs = tuple(intersection)
-    constrain_attributes = config.get("attributes", "all") == "all"
-
-    def spec_for(delta_text: str) -> FairnessSpec:
-        return FairnessSpec(
-            delta_default=parse_delta(delta_text, "delta"),
-            intersection_attrs=intersection_attrs,
-            constrain_attributes=constrain_attributes,
+    thetas = grid("thetas")
+    theta_values = [parse_theta(theta) for theta in thetas]
+    delta_texts = [_config_delta_text(d) for d in grid("deltas")]
+    trials = parse_int(require("trials"), "trials", 1)
+    num_rankings = parse_int(require("num_rankings"), "num_rankings", 1)
+    base_seed = parse_int(require("seed"), "seed")
+    budget_ms = solver_budget_ms(config.get("budget_ms"), "budget_ms")
+    max_exact_n = parse_int(
+        config.get("max_exact_n", DEFAULT_MAX_EXACT_N), "max_exact_n"
+    )
+    max_nodes = config.get("max_nodes")
+    if max_nodes is not None:
+        max_nodes = parse_int(max_nodes, "max_nodes")
+    scope = intersection_scope(config.get("intersection", "all"), table)
+    attributes = config.get("attributes", "all")
+    if attributes not in ("all", "none"):
+        raise ParseError(f"attributes must be 'all' or 'none', got {attributes!r}")
+    specs = [
+        FairnessSpec(
+            delta_default=parse_delta(text, "delta"),
+            intersection_attrs=scope,
+            constrain_attributes=attributes == "all",
         )
+        for text in delta_texts
+    ]
 
     report_spec = FairnessSpec(delta_default=Fraction(1), intersection_attrs=ALL)
     report_index = report_spec.build_index(table)
-    solver_index = spec_for(delta_texts[0]).build_index(table)
+    solver_index = specs[0].build_index(table)
 
     if "modal" in config and config.get("scenario") is not None:
         raise ParseError(f"{config_path}: give either 'modal' or 'scenario'")
     if "modal" in config:
-        rows = read_rankings(base_dir / config["modal"], table)
+        rows = read_rankings(path("modal"), table)
         if rows.size != 1:
             raise ParseError("modal file must hold exactly one ranking")
         modal = rows.rankings[0]
@@ -819,76 +913,18 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         modal = build_scenario(
             report_index,
             _experiment_targets(config, table),
-            int(config.get("scenario_seed", base_seed)),
+            parse_int(config.get("scenario_seed", base_seed), "scenario_seed"),
         )
 
-    sample_cache: dict[tuple[int, int], RankingSet] = {}
-    matrix_cache: dict[tuple[int, int], object] = {}
-    kemeny_cache: dict[tuple[int, int], KemenySolution] = {}
+    def instance(ti: int, trial: int) -> _Instance:
+        seed = derive_seed(base_seed, ti, trial)
+        sampling = MallowsConfig(modal, theta_values[ti], num_rankings, seed)
+        sampled = sample_mallows(sampling)
+        return _Instance(sampled, solver_index, budget_ms, max_exact_n, max_nodes)
 
-    def samples(ti: int, trial: int) -> RankingSet:
-        key = (ti, trial)
-        if key not in sample_cache:
-            sub = derive_seed(base_seed, ti, trial)
-            sample_cache[key] = sample_mallows(
-                MallowsConfig(modal, float(thetas[ti]), num_rankings, sub)
-            )
-        return sample_cache[key]
-
-    def matrix(ti: int, trial: int):
-        key = (ti, trial)
-        if key not in matrix_cache:
-            matrix_cache[key] = build_precedence_matrix(samples(ti, trial), table)
-        return matrix_cache[key]
-
-    def unaware_kemeny(ti: int, trial: int) -> KemenySolution:
-        key = (ti, trial)
-        if key not in kemeny_cache:
-            kemeny_cache[key] = kemeny_exact(
-                matrix(ti, trial),
-                time_budget_ms=budget_ms,
-                max_exact_n=max_exact_n,
-            )
-        return kemeny_cache[key]
-
-    # fair-kemeny cells are solved tightest-threshold-first per instance,
-    # feeding each solution to the next looser threshold as a warm start: a
-    # ranking feasible at a tight threshold stays feasible at looser ones,
-    # so each search starts from an incumbent at least that good and the
-    # reported disagreement never increases as the threshold relaxes
-    fk_runs: dict[tuple[int, str, int], tuple[str, Ranking | None, int]] = {}
-    if "fair-kemeny" in methods:
-        ascending = sorted(
-            range(len(delta_texts)),
-            key=lambda di: parse_delta(delta_texts[di], "delta"),
-        )
-        for ti in range(len(thetas)):
-            for trial in range(trials):
-                warm: Ranking | None = None
-                for di in ascending:
-                    delta_text = delta_texts[di]
-                    cell_start = time.perf_counter()
-                    status = "ok"
-                    consensus: Ranking | None = None
-                    try:
-                        consensus = fair_kemeny(
-                            matrix(ti, trial),
-                            spec_for(delta_text),
-                            solver_index,
-                            time_budget_ms=budget_ms,
-                            max_exact_n=max_exact_n,
-                            max_nodes=max_nodes,
-                            warm_starts=() if warm is None else (warm,),
-                        ).ranking
-                        warm = consensus
-                    except Infeasible:
-                        status = "infeasible"
-                    except RepairStalled:
-                        status = "repair-stalled"
-                    except BudgetExceeded:
-                        status = "budget-exceeded"
-                    cell_millis = int((time.perf_counter() - cell_start) * 1000)
-                    fk_runs[(ti, delta_text, trial)] = (status, consensus, cell_millis)
+    instances = [
+        [instance(ti, trial) for trial in range(trials)] for ti in range(len(thetas))
+    ]
 
     attr_names = list(table.attributes)
     header = (
@@ -896,115 +932,68 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         + [f"arp:{name}" for name in attr_names]
         + ["irp", "pd_loss", "pof", "swaps"]
     )
-    rows_out: list[list[str]] = []
-    timing_rows: list[list[str]] = []
-    cells: dict[tuple[str, str, str], list[dict]] = {}
-
-    for method in methods:
+    width = len(attr_names) + 4  # arp per attribute, irp, pd_loss, pof, swaps
+    # (row, timing row) per (method, theta, delta, trial) position
+    written: dict[tuple[int, int, int, int], tuple[list[str], list[str]]] = {}
+    # the value lists of a (method, theta, delta) group's solved cells
+    cells: dict[tuple[str, str, str], list[list]] = {}
+    # Thresholds are solved tightest first: a ranking feasible at a tight
+    # threshold stays feasible at looser ones, so each trial's result is
+    # the warm start of its next looser threshold (only fair-kemeny uses
+    # it), and the reported disagreement never increases as it relaxes.
+    ascending = sorted(range(len(specs)), key=lambda di: specs[di].delta_default)
+    for mi, method in enumerate(methods):
         for ti, theta in enumerate(thetas):
-            for delta_text in delta_texts:
-                spec = spec_for(delta_text)
-                for trial in range(trials):
-                    seed = derive_seed(base_seed, ti, trial)
-                    rankings = samples(ti, trial)
+            warm: dict[int, Ranking] = {}
+            for di in ascending:
+                for trial, instance in enumerate(instances[ti]):
                     cell_start = time.perf_counter()
-                    status = "ok"
-                    consensus = None
-                    swaps: int | None = None
-                    pof: Fraction | None = None
-                    millis_override: int | None = None
+                    status, solved = "ok", None
                     try:
-                        if method == "kemeny":
-                            consensus = unaware_kemeny(ti, trial).ranking
-                        elif method == "fair-kemeny":
-                            status, consensus, millis_override = fk_runs[
-                                (ti, delta_text, trial)
-                            ]
-                            if consensus is not None:
-                                pof = pd_loss(rankings, consensus) - pd_loss(
-                                    rankings, unaware_kemeny(ti, trial).ranking
-                                )
-                        elif method == "kemeny-weighted":
-                            consensus = kemeny_weighted(
-                                rankings,
-                                spec,
-                                solver_index,
-                                time_budget_ms=budget_ms,
-                                max_exact_n=max_exact_n,
-                            ).ranking
-                            pof = pd_loss(rankings, consensus) - pd_loss(
-                                rankings, unaware_kemeny(ti, trial).ranking
-                            )
-                        elif method == "borda":
-                            consensus = borda(rankings, table)
-                        elif method == "copeland":
-                            consensus = copeland(matrix(ti, trial))
-                        elif method == "schulze":
-                            consensus = schulze(matrix(ti, trial))
-                        elif method == "pick-fairest":
-                            consensus = pick_fairest(rankings, spec, solver_index)
-                        else:
-                            result = fair_pipeline(
-                                _PIPELINE_BASE[method],
-                                rankings,
-                                spec,
-                                solver_index,
-                                collect_swaps=False,
-                            )
-                            consensus = result.ranking
-                            swaps = result.trace.iterations
-                            pof = result.price_of_fairness
-                    except Infeasible:
-                        status = "infeasible"
-                    except RepairStalled:
-                        status = "repair-stalled"
-                    except BudgetExceeded:
-                        status = "budget-exceeded"
-                    cell_millis = (
-                        millis_override
-                        if millis_override is not None
-                        else int((time.perf_counter() - cell_start) * 1000)
-                    )
-
-                    row = [method, str(theta), delta_text, str(trial), str(seed), status]
-                    if consensus is not None:
-                        report = evaluate_fairness(consensus, report_spec, report_index)
-                        loss = pd_loss(rankings, consensus)
-                        arps = {
-                            name: report.attribute_spreads[name] for name in attr_names
-                        }
-                        row += [decimal_string(arps[name]) for name in attr_names]
-                        row.append(
-                            ""
-                            if report.intersection_spread is None
-                            else decimal_string(report.intersection_spread)
+                        solved = _solve(
+                            method,
+                            instance,
+                            specs[di],
+                            want_pof=True,
+                            warm=warm.get(trial),
                         )
-                        row.append(decimal_string(loss))
-                        row.append("" if pof is None else decimal_string(pof))
-                        row.append("" if swaps is None else str(swaps))
-                        cells.setdefault((method, str(theta), delta_text), []).append(
-                            {
-                                "arp": arps,
-                                "irp": report.intersection_spread,
-                                "pd_loss": loss,
-                                "pof": pof,
-                                "swaps": swaps,
-                            }
-                        )
+                    except tuple(_CELL_STATUS) as exc:
+                        status = _CELL_STATUS[type(exc)]
                     else:
-                        row += [""] * (len(attr_names) + 4)
-                    rows_out.append(row)
-                    timing_rows.append(
-                        [method, str(theta), delta_text, str(trial), str(cell_millis)]
-                    )
+                        warm[trial] = solved.ranking
+                    cell_millis = int((time.perf_counter() - cell_start) * 1000)
+
+                    values: list = [None] * width
+                    if solved is not None:
+                        report = evaluate_fairness(
+                            solved.ranking, report_spec, report_index
+                        )
+                        values = [
+                            *(report.attribute_spreads[name] for name in attr_names),
+                            report.intersection_spread,
+                            pd_loss(instance.rankings, solved.ranking),
+                            solved.price_of_fairness,
+                            solved.swaps,
+                        ]
+                        group = (method, str(theta), delta_texts[di])
+                        cells.setdefault(group, []).append(values)
+                    seed = derive_seed(base_seed, ti, trial)
+                    cell = [method, str(theta), delta_texts[di], str(trial)]
+                    row = [*cell, str(seed), status]
+                    row += [decimal_cell(value) for value in values[:-1]]
+                    row.append("" if values[-1] is None else str(values[-1]))
+                    written[mi, ti, di, trial] = (row, [*cell, str(cell_millis)])
+    rows_out = [written[key][0] for key in sorted(written)]
+    timing_rows = [written[key][1] for key in sorted(written)]
 
     runs_buffer = io.StringIO()
     writer = csv.writer(runs_buffer, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows_out)
 
-    def mean(values: list[Fraction]) -> Fraction:
-        return sum(values, Fraction(0)) / len(values)
+    def mean(values: list) -> Fraction | None:
+        present = [value for value in values if value is not None]
+        return sum(present, Fraction(0)) / len(present) if present else None
 
     summary_header = (
         ["method", "theta", "delta", "runs", "ok"]
@@ -1017,25 +1006,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     for method in methods:
         for theta in thetas:
             for delta_text in delta_texts:
-                key = (method, str(theta), delta_text)
-                ok_rows = cells.get(key, [])
-                row = [method, str(theta), delta_text, str(trials), str(len(ok_rows))]
-                if ok_rows:
-                    for name in attr_names:
-                        row.append(decimal_string(mean([r["arp"][name] for r in ok_rows])))
-                    irps = [r["irp"] for r in ok_rows if r["irp"] is not None]
-                    row.append(decimal_string(mean(irps)) if irps else "")
-                    row.append(decimal_string(mean([r["pd_loss"] for r in ok_rows])))
-                    pofs = [r["pof"] for r in ok_rows if r["pof"] is not None]
-                    row.append(decimal_string(mean(pofs)) if pofs else "")
-                    swap_counts = [r["swaps"] for r in ok_rows if r["swaps"] is not None]
-                    row.append(
-                        decimal_string(mean([Fraction(s) for s in swap_counts]))
-                        if swap_counts
-                        else ""
-                    )
-                else:
-                    row += [""] * (len(attr_names) + 4)
+                solved_cells = cells.get((method, str(theta), delta_text), [])
+                row = [method, str(theta), delta_text, str(trials)]
+                row.append(str(len(solved_cells)))
+                for column in range(width):
+                    row.append(decimal_cell(mean([v[column] for v in solved_cells])))
                 writer.writerow(row)
 
     timing_buffer = io.StringIO()
@@ -1132,14 +1107,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit code per package error; every other one, and an unreadable file,
+#: is unusable input.
 _ERROR_CODES: tuple[tuple[type, int], ...] = (
-    (ParseError, EXIT_PARSE),
-    (UnknownAttribute, EXIT_PARSE),
-    (InconsistentCandidateSet, EXIT_PARSE),
-    (DegenerateAttribute, EXIT_PARSE),
-    (DegenerateGroup, EXIT_PARSE),
-    (DegenerateIntersection, EXIT_PARSE),
-    (InstanceTooLarge, EXIT_PARSE),
     (Infeasible, EXIT_INFEASIBLE),
     (RepairStalled, EXIT_REPAIR_STALLED),
     (BudgetExceeded, EXIT_BUDGET),
@@ -1148,20 +1118,14 @@ _ERROR_CODES: tuple[tuple[type, int], ...] = (
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FairConsensusError as exc:
-        for kind, code in _ERROR_CODES:
-            if isinstance(exc, kind):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
+    except (FairConsensusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(
+            (code for kind, code in _ERROR_CODES if isinstance(exc, kind)), EXIT_PARSE
+        )
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InstanceTooLarge
-from .metrics import FairnessSpec, favored_pair_counts
+from .metrics import FairnessSpec, entity_spread
 from .model import (
     GroupIndex,
     PrecedenceMatrix,
@@ -443,19 +443,17 @@ def fairness_sort_key(
     non-empty group contribute nothing.
     """
     order = ranking.to_indices(index.table)
-    spreads: list[Fraction] = []
-    for entity in index.attribute_entities if spec.constrain_attributes else ():
-        if len(entity.groups) < 2:
-            continue
-        favored = favored_pair_counts(order, entity.gid, len(entity.groups))
-        shares = [Fraction(f, g.mixed_pairs) for f, g in zip(favored, entity.groups)]
-        spreads.append(max(shares) - min(shares))
+
+    def spread(entity) -> Fraction:
+        num, den, _, _ = entity_spread(order, entity)
+        return Fraction(num, den)
+
+    entities = index.attribute_entities if spec.constrain_attributes else ()
+    spreads = [spread(e) for e in entities if len(e.groups) >= 2]
     inter_spread: Fraction | None = None
     entity = index.intersection
     if entity is not None and spec.intersection_attrs is not None and len(entity.groups) >= 2:
-        favored = favored_pair_counts(order, entity.gid, len(entity.groups))
-        shares = [Fraction(f, g.mixed_pairs) for f, g in zip(favored, entity.groups)]
-        inter_spread = max(shares) - min(shares)
+        inter_spread = spread(entity)
     scores = spreads + ([inter_spread] if inter_spread is not None else [])
     overall = max(scores) if scores else Fraction(0)
     key = [overall]

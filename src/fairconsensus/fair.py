@@ -44,9 +44,11 @@ from .errors import (
 from .metrics import (
     FairnessReport,
     FairnessSpec,
+    entity_spread,
     evaluate_fairness,
     favored_pair_counts,
     pd_loss,
+    spread_of,
 )
 from .model import (
     Entity,
@@ -100,18 +102,8 @@ def _order_satisfies(
 ) -> bool:
     """Exact integer check that an index order meets every threshold."""
     for entity, delta in pairs:
-        favored = favored_pair_counts(order, entity.gid, len(entity.groups))
-        omegas = [g.mixed_pairs for g in entity.groups]
-        hi_n, hi_d = favored[0], omegas[0]
-        lo_n, lo_d = favored[0], omegas[0]
-        for g in range(1, len(favored)):
-            if favored[g] * hi_d > hi_n * omegas[g]:
-                hi_n, hi_d = favored[g], omegas[g]
-            if favored[g] * lo_d < lo_n * omegas[g]:
-                lo_n, lo_d = favored[g], omegas[g]
-        if (hi_n * lo_d - lo_n * hi_d) * delta.denominator > (
-            delta.numerator * hi_d * lo_d
-        ):
+        num, den, _, _ = entity_spread(order, entity)
+        if num * delta.denominator > delta.numerator * den:
             return False
     return True
 
@@ -274,16 +266,7 @@ def repair_ranking(
     while True:
         violated = []  # (num, den, ent, hi, lo) per out-of-threshold entity
         for ent in ents:
-            favored = ent["favored"]
-            omegas = ent["omegas"]
-            hi = lo = 0
-            for g in range(1, len(favored)):
-                if favored[g] * omegas[hi] > favored[hi] * omegas[g]:
-                    hi = g
-                if favored[g] * omegas[lo] < favored[lo] * omegas[g]:
-                    lo = g
-            num = favored[hi] * omegas[lo] - favored[lo] * omegas[hi]
-            den = omegas[hi] * omegas[lo]
+            num, den, hi, lo = spread_of(ent["favored"], ent["omegas"])
             dnum, dden = ent["delta"]
             if num * dden <= dnum * den:
                 continue  # within threshold

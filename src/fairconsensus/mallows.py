@@ -23,7 +23,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateIntersection, ScenarioUnreachable, UnknownAttribute
-from .metrics import favored_pair_counts
+from .metrics import entity_spread
 from .model import Entity, GroupIndex, Ranking, RankingSet
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -250,16 +250,6 @@ def _window(target: Fraction, tolerance: Fraction) -> tuple[Fraction, Fraction]:
     return max(Fraction(0), target - tolerance), min(Fraction(1), target + tolerance)
 
 
-def _entity_spread(order: Sequence[int], entity: Entity) -> tuple[Fraction, int, int]:
-    favored = favored_pair_counts(order, entity.gid, len(entity.groups))
-    shares = [
-        Fraction(f, g.mixed_pairs) for f, g in zip(favored, entity.groups)
-    ]
-    hi = max(range(len(shares)), key=lambda g: (shares[g], -g))
-    lo = min(range(len(shares)), key=lambda g: (shares[g], g))
-    return shares[hi] - shares[lo], hi, lo
-
-
 def _positions_of(order: Sequence[int], members: Sequence[int]) -> list[int]:
     pos = {c: p for p, c in enumerate(order)}
     return sorted(pos[m] for m in members)
@@ -349,7 +339,8 @@ def build_scenario(
         for _ in range(budget):
             worst = None  # (excess, job position, direction, hi, lo)
             for pos_j, (entity, lo_bound, hi_bound) in enumerate(jobs):
-                spread, hi, lo = _entity_spread(order, entity)
+                num, den, hi, lo = entity_spread(order, entity)
+                spread = Fraction(num, den)
                 if spread > hi_bound:
                     excess = spread - hi_bound
                     direction = "narrow"

@@ -69,16 +69,33 @@ def fpr(ranking: Ranking, group: Iterable[str], index: GroupIndex) -> Score:
     return Fraction(favored[1], mixed_pair_count(len(members), n))
 
 
-def _entity_shares(order: Sequence[int], entity: Entity) -> list[Score]:
+def spread_of(
+    favored: Sequence[int], omegas: Sequence[int]
+) -> tuple[int, int, int, int]:
+    """Spread of the shares ``favored[g] / omegas[g]`` in integers only.
+
+    Returns ``(num, den, hi, lo)`` where ``num / den`` is the highest share
+    minus the lowest and ``hi``/``lo`` are the first groups holding them.
+    Shares compare by cross-multiplication, so no rational is ever built.
+    """
+    hi = lo = 0
+    for g in range(1, len(favored)):
+        if favored[g] * omegas[hi] > favored[hi] * omegas[g]:
+            hi = g
+        elif favored[g] * omegas[lo] < favored[lo] * omegas[g]:
+            lo = g
+    return (
+        favored[hi] * omegas[lo] - favored[lo] * omegas[hi],
+        omegas[hi] * omegas[lo],
+        hi,
+        lo,
+    )
+
+
+def entity_spread(order: Sequence[int], entity: Entity) -> tuple[int, int, int, int]:
+    """``spread_of`` over an entity's groups for a ranking given as indices."""
     favored = favored_pair_counts(order, entity.gid, len(entity.groups))
-    return [
-        Fraction(count, group.mixed_pairs)
-        for count, group in zip(favored, entity.groups)
-    ]
-
-
-def _spread(shares: Sequence[Score]) -> Score:
-    return max(shares) - min(shares)
+    return spread_of(favored, [g.mixed_pairs for g in entity.groups])
 
 
 def arp(ranking: Ranking, attribute: str, index: GroupIndex) -> Score:
@@ -88,7 +105,8 @@ def arp(ranking: Ranking, attribute: str, index: GroupIndex) -> Score:
         raise DegenerateGroup(
             f"attribute {attribute!r} has a single non-empty group"
         )
-    return _spread(_entity_shares(ranking.to_indices(index.table), entity))
+    num, den, _, _ = entity_spread(ranking.to_indices(index.table), entity)
+    return Fraction(num, den)
 
 
 def irp(ranking: Ranking, index: GroupIndex) -> Score:
@@ -98,7 +116,8 @@ def irp(ranking: Ranking, index: GroupIndex) -> Score:
         raise DegenerateGroup("this group index was built without an intersection")
     if len(entity.groups) < 2:
         raise DegenerateGroup("the intersection has a single non-empty cell")
-    return _spread(_entity_shares(ranking.to_indices(index.table), entity))
+    num, den, _, _ = entity_spread(ranking.to_indices(index.table), entity)
+    return Fraction(num, den)
 
 
 def _parse_threshold(value: Fraction | str | int) -> Fraction:
@@ -200,17 +219,18 @@ def evaluate_fairness(
                 f"{entity.name}: single non-empty group, score skipped"
             )
             continue
-        shares = _entity_shares(order, entity)
-        spread = _spread(shares)
+        favored = favored_pair_counts(order, entity.gid, len(entity.groups))
+        omegas = [g.mixed_pairs for g in entity.groups]
+        num, den, _, _ = spread_of(favored, omegas)
+        spread = Fraction(num, den)
+        shares = {
+            g.label: Fraction(f, w) for g, f, w in zip(entity.groups, favored, omegas)
+        }
         if entity.is_intersection:
-            intersection_shares.update(
-                {g.label: s for g, s in zip(entity.groups, shares)}
-            )
+            intersection_shares.update(shares)
             intersection_spread = spread
         else:
-            attribute_shares[entity.name] = {
-                g.label: s for g, s in zip(entity.groups, shares)
-            }
+            attribute_shares[entity.name] = shares
             attribute_spreads[entity.name] = spread
         excess = spread - spec.delta_for(entity.name)
         if excess > 0:

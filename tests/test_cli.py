@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from fairconsensus import Ranking, pd_loss
-from fairconsensus.cli import main
+from fairconsensus.cli import METHODS, main
+from fairconsensus.mallows import derive_seed
 
 import helpers
 
@@ -493,3 +494,144 @@ class TestExperiment:
             main(["experiment", "--config", str(config), "--out", str(tmp_path / "e")])
             == 2
         )
+
+
+@pytest.fixture
+def grid_case(tmp_path, monkeypatch):
+    """12 candidates on a 3x2 grid plus five base rankings, run from tmp_path."""
+    import random
+
+    monkeypatch.chdir(tmp_path)
+    table = helpers.grid_table(12, 3, 2)
+    write_candidates(
+        tmp_path / "candidates.csv",
+        [(cid, *table.values[i]) for i, cid in enumerate(table.candidate_ids)],
+        ["candidate_id", "race", "gender"],
+    )
+    rows = [r.order for r in helpers.random_ranking_set(table, 5, random.Random(3)).rankings]
+    write_rankings(tmp_path / "rankings.csv", rows)
+    write_rankings(tmp_path / "modal.csv", [table.candidate_ids])
+    return table
+
+
+SMALL_EXPERIMENT = {
+    "candidates": "candidates.csv",
+    "methods": ["fair-borda"],
+    "thetas": [0.5],
+    "deltas": ["0.3"],
+    "trials": 1,
+    "num_rankings": 5,
+    "seed": 1,
+    "scenario": "low-fair",
+}
+GENERATE = [
+    "generate", "--candidates", "candidates.csv", "--modal", "modal.csv",
+    "--seed", "1", "--out", "out",
+]
+AGGREGATE = [
+    "aggregate", "--method", "fair-kemeny", "--candidates", "candidates.csv",
+    "--rankings", "rankings.csv", "--delta", "0.3", "--out", "out",
+]
+EXPERIMENT = ["experiment", "--config", "config.json", "--out", "out"]
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize(
+        "argv, env, config",
+        [
+            pytest.param(
+                [*GENERATE, "--theta", "0.5", "--num-rankings", "0"], {}, None,
+                id="generate-num-rankings-0",
+            ),
+            pytest.param(
+                [*GENERATE, "--theta", "-1", "--num-rankings", "5"], {}, None,
+                id="generate-theta-negative",
+            ),
+            pytest.param(
+                [*GENERATE, "--theta", "nan", "--num-rankings", "5"], {}, None,
+                id="generate-theta-nan",
+            ),
+            pytest.param(
+                [*AGGREGATE, "--budget-ms", "-5"], {}, None, id="budget-ms-negative"
+            ),
+            pytest.param(
+                AGGREGATE, {"FAIRCONSENSUS_BUDGET_MS": "abc"}, None, id="budget-env"
+            ),
+            pytest.param(EXPERIMENT, {}, {"trials": "x"}, id="config-trials"),
+            pytest.param(EXPERIMENT, {}, {"scenario": "bogus"}, id="config-scenario"),
+            pytest.param(EXPERIMENT, {}, {"thetas": [-1]}, id="config-thetas"),
+            pytest.param(
+                EXPERIMENT, {}, {"intersection": "race,height"}, id="config-intersection"
+            ),
+        ],
+    )
+    def test_malformed_input_exits_2(
+        self, grid_case, capsys, monkeypatch, argv, env, config
+    ):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        if config is not None:
+            Path("config.json").write_text(json.dumps({**SMALL_EXPERIMENT, **config}))
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not Path("out").exists()
+
+    def test_config_intersection_string_reads_as_names(self, grid_case):
+        outputs = []
+        for scope in ("race", ["race"]):
+            out = f"out-{len(outputs)}"
+            Path("config.json").write_text(
+                json.dumps({**SMALL_EXPERIMENT, "intersection": scope})
+            )
+            assert main(["experiment", "--config", "config.json", "--out", out]) == 0
+            outputs.append((Path(out) / "runs.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+def test_aggregate_matches_experiment_cells(grid_case):
+    """Both commands reach each method through one dispatch: equal cells."""
+    seed, delta = 4, "0.2"
+    config = {
+        **SMALL_EXPERIMENT,
+        "methods": list(METHODS),
+        "thetas": [0.7],
+        "deltas": [delta],
+        "num_rankings": 30,
+        "seed": seed,
+        "max_nodes": 2000,
+    }
+    Path("config.json").write_text(json.dumps(config))
+    assert main(["experiment", "--config", "config.json", "--out", "exp"]) == 0
+    rows = {row["method"]: row for row in csv.DictReader(open("exp/runs.csv"))}
+    assert main(
+        [
+            "generate", "--candidates", "candidates.csv", "--modal", "exp/modal.csv",
+            "--theta", "0.7", "--num-rankings", "30",
+            "--seed", str(derive_seed(seed, 0, 0)), "--out", "gen",
+        ]
+    ) == 0
+
+    def cell(value) -> str:
+        return "" if value is None else value["decimal"]
+
+    for method in METHODS:
+        out = Path(f"agg-{method}")
+        argv = [
+            "aggregate", "--method", method, "--candidates", "candidates.csv",
+            "--rankings", "gen/rankings.csv", "--delta", delta,
+            "--max-nodes", "2000", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        report = json.loads((out / "report.json").read_text())
+        fairness = report["fairness"]
+        got = {
+            f"arp:{name}": cell(fairness["attributes"][name]["spread"])
+            for name in ("race", "gender")
+        }
+        got["irp"] = cell(fairness["intersection"]["spread"])
+        got["pd_loss"] = cell(report["pd_loss"])
+        got["pof"] = cell(report["price_of_fairness"])
+        got["swaps"] = "" if report["swaps"] is None else str(report["swaps"])
+        assert got == {key: rows[method][key] for key in got}, method
+        assert rows[method]["status"] == "ok"

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fairconsensus import (
     FairnessSpec,
@@ -20,7 +22,7 @@ from fairconsensus import (
     pd_loss,
     price_of_fairness,
 )
-from fairconsensus.metrics import favored_pair_counts
+from fairconsensus.metrics import favored_pair_counts, spread_of
 from fairconsensus.model import ALL
 
 import helpers
@@ -97,6 +99,20 @@ class TestSpreads:
             others = frozenset(table.candidate_ids) - members
             shares.append(helpers.favored_share_reference(ranking, members, others))
         assert irp(ranking, index) == max(shares) - min(shares)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 30), st.integers(1, 30)), min_size=1, max_size=8
+        )
+    )
+    def test_spread_of_is_exact_and_picks_first_extremes(self, groups):
+        favored = [f for f, _ in groups]
+        omegas = [w for _, w in groups]
+        num, den, hi, lo = spread_of(favored, omegas)
+        shares = [Fraction(f, w) for f, w in groups]
+        assert Fraction(num, den) == max(shares) - min(shares)
+        assert hi == shares.index(max(shares))
+        assert lo == shares.index(min(shares))
 
     def test_mirrored_binary_order_is_parity(self):
         # g,o,o,g gives each group 2 of its 4 mixed pairs: equal shares
