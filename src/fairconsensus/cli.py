@@ -28,8 +28,8 @@ or ``scenario``. A scenario is a preset name (``low-fair``,
 (default), ``"none"`` or null, a list of attribute names, or the same names
 as one comma-separated string, as ``--intersection`` takes them;
 ``attributes`` is ``"all"`` (default) or ``"none"``; ``scenario_seed``
-(integer, default ``seed``); ``budget_ms`` (integer >= 0); ``max_nodes``
-and ``max_exact_n`` (integers); ``out`` (used without ``--out``). Integer
+(integer, default ``seed``); ``budget_ms`` and ``max_nodes`` (integers >=
+0); ``max_exact_n`` (integer); ``out`` (used without ``--out``). Integer
 keys take JSON integers or decimal strings. A missing or malformed value
 exits 2 before anything is written.
 
@@ -238,6 +238,11 @@ def solver_budget_ms(value: int | None, what: str) -> int | None:
     if value is None:
         value = os.environ.get(BUDGET_ENV_VAR) or None
         what = BUDGET_ENV_VAR
+    return None if value is None else parse_int(value, what, 0)
+
+
+def node_cap(value: int | None, what: str) -> int | None:
+    """A branch-and-bound node cap: none, or an integer >= 0."""
     return None if value is None else parse_int(value, what, 0)
 
 
@@ -489,8 +494,9 @@ def build_fairness_spec(args: argparse.Namespace, table: CandidateTable) -> Fair
 class _Instance:
     """One ranking set with its group index and solver limits.
 
-    The precedence matrix and the unaware Kemeny solution are built on
-    first use and then shared by every method solved on this instance.
+    The precedence matrix, the unaware Kemeny solution and its loss are
+    built on first use and then shared by every method solved on this
+    instance.
     """
 
     rankings: RankingSet
@@ -509,12 +515,17 @@ class _Instance:
             self.matrix, time_budget_ms=self.budget_ms, max_exact_n=self.max_exact_n
         )
 
+    @cached_property
+    def kemeny_loss(self) -> Fraction:
+        return pd_loss(self.rankings, self.kemeny.ranking)
+
 
 @dataclass
 class _Solved:
     """A method's consensus and what the reports say about how it was found."""
 
     ranking: Ranking
+    pd_loss: Fraction
     objective: int | None = None
     optimal: bool | None = None
     nodes_explored: int | None = None
@@ -544,18 +555,23 @@ def _solve(
         )
         return _Solved(
             result.ranking,
+            result.pd_loss_fair,
             swaps=result.trace.iterations,
             pd_loss_unaware=result.pd_loss_unaware,
             price_of_fairness=result.price_of_fairness,
         )
+
+    def scored(ranking: Ranking) -> _Solved:
+        return _Solved(ranking, pd_loss(rankings, ranking))
+
     if method == "borda":
-        return _Solved(borda(rankings, index.table))
+        return scored(borda(rankings, index.table))
     if method == "copeland":
-        return _Solved(copeland(instance.matrix))
+        return scored(copeland(instance.matrix))
     if method == "schulze":
-        return _Solved(schulze(instance.matrix))
+        return scored(schulze(instance.matrix))
     if method == "pick-fairest":
-        return _Solved(pick_fairest(rankings, spec, index))
+        return scored(pick_fairest(rankings, spec, index))
     if method == "kemeny":
         solution = instance.kemeny
     elif method == "fair-kemeny":
@@ -578,14 +594,20 @@ def _solve(
         )
     else:
         raise ParseError(f"unknown method {method!r}")
+    if method == "kemeny":
+        loss = instance.kemeny_loss
+    else:
+        loss = pd_loss(rankings, solution.ranking)
     solved = _Solved(
-        solution.ranking, solution.objective, solution.optimal, solution.nodes_explored
+        solution.ranking,
+        loss,
+        solution.objective,
+        solution.optimal,
+        solution.nodes_explored,
     )
     if want_pof and method != "kemeny":
-        solved.pd_loss_unaware = pd_loss(rankings, instance.kemeny.ranking)
-        solved.price_of_fairness = (
-            pd_loss(rankings, solution.ranking) - solved.pd_loss_unaware
-        )
+        solved.pd_loss_unaware = instance.kemeny_loss
+        solved.price_of_fairness = loss - instance.kemeny_loss
     return solved
 
 
@@ -599,19 +621,18 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         spec.build_index(table),
         budget_ms=solver_budget_ms(args.budget_ms, "--budget-ms"),
         max_exact_n=args.max_exact_n,
-        max_nodes=args.max_nodes,
+        max_nodes=node_cap(args.max_nodes, "--max-nodes"),
     )
     solved = _solve(args.method, instance, spec, want_pof=not args.no_pof)
     consensus = solved.ranking
     report = evaluate_fairness(consensus, spec, instance.index)
-    loss = pd_loss(rankings, consensus)
     payload = {
         "method": args.method,
         "seed": None,
         "delta": fairness_spec_json(spec),
         "consensus": list(consensus.order),
         "fairness": fairness_report_json(report),
-        "pd_loss": fraction_json(loss),
+        "pd_loss": fraction_json(solved.pd_loss),
         "pd_loss_unaware": fraction_json(solved.pd_loss_unaware),
         "price_of_fairness": fraction_json(solved.price_of_fairness),
         "swaps": solved.swaps,
@@ -635,7 +656,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     print(
         f"{args.method}: consensus over {table.n} candidates written to "
         f"{args.out} (satisfied={report.satisfied}, "
-        f"pd_loss={decimal_string(loss)})"
+        f"pd_loss={decimal_string(solved.pd_loss)})"
     )
     return EXIT_OK
 
@@ -881,9 +902,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     max_exact_n = parse_int(
         config.get("max_exact_n", DEFAULT_MAX_EXACT_N), "max_exact_n"
     )
-    max_nodes = config.get("max_nodes")
-    if max_nodes is not None:
-        max_nodes = parse_int(max_nodes, "max_nodes")
+    max_nodes = node_cap(config.get("max_nodes"), "max_nodes")
     scope = intersection_scope(config.get("intersection", "all"), table)
     attributes = config.get("attributes", "all")
     if attributes not in ("all", "none"):
@@ -971,7 +990,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                         values = [
                             *(report.attribute_spreads[name] for name in attr_names),
                             report.intersection_spread,
-                            pd_loss(instance.rankings, solved.ranking),
+                            solved.pd_loss,
                             solved.price_of_fairness,
                             solved.swaps,
                         ]

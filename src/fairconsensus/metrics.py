@@ -12,7 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DegenerateGroup, InconsistentCandidateSet
 from .model import (
@@ -294,11 +298,30 @@ def pd_loss(rankings: RankingSet, consensus: Ranking) -> Score:
 
     Exact rational in [0, 1]: the (weighted) mean Kendall tau distance to
     the base rankings, divided by the total pair count.
+
+    All m base rankings are scored in one numpy pass over an m x n
+    ``int32`` matrix whose row r holds the consensus positions of the
+    candidates in ranking r's order; a row's inversions are its Kendall
+    distance, counted one column at a time. Memory stays O(m * n). The
+    per-row counts are exact integers and the weighted sum is taken in
+    Python ints, so unbounded weights never overflow.
     """
-    distance = 0
-    for ranking, weight in zip(rankings.rankings, rankings.weights):
-        distance += weight * kendall_tau(consensus, ranking)
-    return Fraction(distance, total_pair_count(rankings.n) * rankings.total_weight)
+    pos = consensus.positions()
+    if consensus.n != rankings.n or pos.keys() != set(rankings.rankings[0].order):
+        raise InconsistentCandidateSet(
+            "pd_loss needs a consensus over the ranking set's candidates"
+        )
+    m, n = rankings.size, rankings.n
+    positions = np.fromiter(
+        chain.from_iterable(map(pos.__getitem__, r.order) for r in rankings.rankings),
+        dtype=np.int32,
+        count=m * n,
+    ).reshape(m, n)
+    inversions = np.zeros(m, dtype=np.int64)
+    for k in range(n - 1):
+        inversions += (positions[:, k, None] > positions[:, k + 1 :]).sum(axis=1)
+    distance = sum(map(mul, rankings.weights, inversions.tolist()))
+    return Fraction(distance, total_pair_count(n) * rankings.total_weight)
 
 
 def price_of_fairness(

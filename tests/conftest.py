@@ -5,10 +5,17 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from fairconsensus import Ranking, RankingSet
 
 import helpers
+
+# Property tests draw the same examples on every run, and no example is
+# failed for its wall time (a first numpy call can take longer than the
+# default deadline on a slow machine).
+settings.register_profile("repro", deadline=None, derandomize=True)
+settings.load_profile("repro")
 
 
 @pytest.fixture

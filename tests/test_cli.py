@@ -557,9 +557,13 @@ class TestInputBoundary:
             pytest.param(
                 AGGREGATE, {"FAIRCONSENSUS_BUDGET_MS": "abc"}, None, id="budget-env"
             ),
+            pytest.param(
+                [*AGGREGATE, "--max-nodes", "-1"], {}, None, id="max-nodes-negative"
+            ),
             pytest.param(EXPERIMENT, {}, {"trials": "x"}, id="config-trials"),
             pytest.param(EXPERIMENT, {}, {"scenario": "bogus"}, id="config-scenario"),
             pytest.param(EXPERIMENT, {}, {"thetas": [-1]}, id="config-thetas"),
+            pytest.param(EXPERIMENT, {}, {"max_nodes": -1}, id="config-max-nodes"),
             pytest.param(
                 EXPERIMENT, {}, {"intersection": "race,height"}, id="config-intersection"
             ),

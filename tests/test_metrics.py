@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fairconsensus import (
     FairnessSpec,
+    InconsistentCandidateSet,
     Ranking,
     RankingSet,
     arp,
@@ -147,6 +148,15 @@ class TestKendallTau:
         assert kendall_tau(forward, backward) == 15
 
 
+def _pd_loss_reference(rankings: RankingSet, consensus: Ranking) -> Fraction:
+    n = consensus.n
+    distance = sum(
+        w * helpers.count_inversions(consensus, r)
+        for r, w in zip(rankings.rankings, rankings.weights)
+    )
+    return Fraction(distance, n * (n - 1) // 2 * rankings.total_weight)
+
+
 class TestPdLoss:
     def test_unanimous_input_recovers_zero(self, abc_table, rng):
         ranking = Ranking(("b", "c", "a"))
@@ -157,15 +167,46 @@ class TestPdLoss:
         table = helpers.random_table(6, {"t": ["g", "o"]}, rng)
         rankings = helpers.random_ranking_set(table, 4, rng, weights=[2, 1, 1, 3])
         consensus = helpers.random_ranking_set(table, 1, rng).rankings[0]
-        total_pairs = 15
-        expected = Fraction(
-            sum(
-                w * helpers.count_inversions(consensus, r)
-                for r, w in zip(rankings.rankings, rankings.weights)
-            ),
-            total_pairs * rankings.total_weight,
+        assert pd_loss(rankings, consensus) == _pd_loss_reference(rankings, consensus)
+
+    @given(st.data())
+    def test_matches_pairwise_reference(self, data):
+        n = data.draw(st.integers(2, 40), label="n")
+        m = data.draw(st.integers(1, 20), label="m")
+        ids = [f"c{i}" for i in range(n)]
+        orders = data.draw(
+            st.lists(st.permutations(ids), min_size=m + 1, max_size=m + 1),
+            label="orders",
         )
-        assert pd_loss(rankings, consensus) == expected
+        weights = data.draw(
+            st.lists(st.integers(1, 10**30), min_size=m, max_size=m), label="weights"
+        )
+        rankings = RankingSet(
+            tuple(Ranking(tuple(order)) for order in orders[1:]), tuple(weights)
+        )
+        consensus = Ranking(tuple(orders[0]))
+        assert pd_loss(rankings, consensus) == _pd_loss_reference(rankings, consensus)
+
+    def test_matches_pairwise_reference_at_width(self):
+        rng = random.Random(300)
+        table = helpers.random_table(320, {"t": ["g", "o"]}, rng)
+        rankings = helpers.random_ranking_set(
+            table, 6, rng, weights=[10**30, 1, 7, 2**70, 3, 10**19]
+        )
+        consensus = helpers.random_ranking_set(table, 1, rng).rankings[0]
+        assert pd_loss(rankings, consensus) == _pd_loss_reference(rankings, consensus)
+
+    def test_consensus_over_other_candidates_is_rejected(self, rng):
+        table = helpers.random_table(5, {"t": ["g", "o"]}, rng)
+        rankings = helpers.random_ranking_set(table, 3, rng)
+        ids = table.candidate_ids
+        for consensus in (
+            Ranking(ids[:-1]),
+            Ranking(ids + ("extra",)),
+            Ranking(ids[:-1] + ("extra",)),
+        ):
+            with pytest.raises(InconsistentCandidateSet):
+                pd_loss(rankings, consensus)
 
     def test_price_of_fairness_is_loss_gap(self, rng):
         table = helpers.random_table(5, {"t": ["g", "o"]}, rng)
