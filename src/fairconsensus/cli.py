@@ -33,10 +33,18 @@ as one comma-separated string, as ``--intersection`` takes them;
 keys take JSON integers or decimal strings. A missing or malformed value
 exits 2 before anything is written.
 
-Exit codes: 0 success; 2 unusable input (parse or validation failure,
-unknown flag values, malformed ``FAIRCONSENSUS_BUDGET_MS``, oversized exact
-instances); 3 no ranking can satisfy the thresholds; 4 swap repair stalled;
-5 time budget exhausted with no result; 6 scenario targets unreachable.
+Each (theta, trial) samples one instance that every method and threshold
+shares. The unaware methods (``kemeny``, ``borda``, ``copeland``,
+``schulze``, ``pick-fairest``, ``kemeny-weighted``) never read a threshold,
+so each is solved once per instance, in its first cell; its cells at the
+other thresholds reuse that solve, and their ``timings.csv`` millis cover
+only scoring.
+
+Exit codes: 0 success; 2 unusable input (parse or validation failure, a
+file that is not UTF-8, unknown flag values, malformed
+``FAIRCONSENSUS_BUDGET_MS``, oversized exact instances); 3 no ranking can
+satisfy the thresholds; 4 swap repair stalled; 5 time budget exhausted with
+no result; 6 scenario targets unreachable.
 """
 
 from __future__ import annotations
@@ -52,14 +60,13 @@ import re
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .consensus import (
-    BUDGET_ENV_VAR,
     DEFAULT_MAX_EXACT_N,
     KemenySolution,
     borda,
@@ -67,6 +74,7 @@ from .consensus import (
     kemeny_exact,
     kemeny_weighted,
     pick_fairest,
+    resolve_budget_ms,
     schulze,
 )
 from .errors import (
@@ -235,10 +243,7 @@ def intersection_scope(value, table: CandidateTable) -> tuple[str, ...] | str | 
 
 def solver_budget_ms(value: int | None, what: str) -> int | None:
     """A solver time budget; without one, the environment default, if set."""
-    if value is None:
-        value = os.environ.get(BUDGET_ENV_VAR) or None
-        what = BUDGET_ENV_VAR
-    return None if value is None else parse_int(value, what, 0)
+    return resolve_budget_ms(node_cap(value, what))
 
 
 def node_cap(value: int | None, what: str) -> int | None:
@@ -250,10 +255,22 @@ def node_cap(value: int | None, what: str) -> int | None:
 # CSV formats
 
 
+def _read_text(path: str | Path) -> str:
+    """A UTF-8 file's text with newlines untranslated; other bytes are unusable."""
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 ({exc})") from None
+
+
+def _csv_rows(path: str | Path) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(_read_text(path), newline="")))
+
+
 def read_candidates(path: str | Path) -> CandidateTable:
     """Parse a candidates CSV; diagnostics cite the offending row/column."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
+    rows = _csv_rows(path)
     if not rows:
         raise ParseError(f"{path}: empty candidates file")
     header = rows[0]
@@ -293,44 +310,34 @@ def read_candidates(path: str | Path) -> CandidateTable:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def write_candidates(table: CandidateTable, path: str | Path) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("candidate_id", *table.attributes))
-    for cid, row in zip(table.candidate_ids, table.values):
-        writer.writerow((cid, *row))
-    _atomic_write(Path(path), buffer.getvalue())
-
-
 def read_rankings(path: str | Path, table: CandidateTable) -> RankingSet:
     """Parse a rankings CSV; every row must be a permutation of the table."""
     expected = set(table.candidate_ids)
     rankings: list[Ranking] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for row_no, row in enumerate(csv.reader(handle), start=1):
-            if len(row) != table.n:
+    for row_no, row in enumerate(_csv_rows(path), start=1):
+        if len(row) != table.n:
+            raise ParseError(
+                f"{path}: row {row_no} ranks {len(row)} candidates, "
+                f"expected {table.n}"
+            )
+        seen: set[str] = set()
+        for cid in row:
+            if cid not in expected:
                 raise ParseError(
-                    f"{path}: row {row_no} ranks {len(row)} candidates, "
-                    f"expected {table.n}"
+                    f"{path}: row {row_no} names unknown candidate {cid!r}"
                 )
-            seen: set[str] = set()
-            for cid in row:
-                if cid not in expected:
-                    raise ParseError(
-                        f"{path}: row {row_no} names unknown candidate {cid!r}"
-                    )
-                if cid in seen:
-                    raise ParseError(
-                        f"{path}: row {row_no} repeats candidate {cid!r}"
-                    )
-                seen.add(cid)
-            missing = expected - seen
-            if missing:
+            if cid in seen:
                 raise ParseError(
-                    f"{path}: row {row_no} omits candidate "
-                    f"{min(missing)!r}"
+                    f"{path}: row {row_no} repeats candidate {cid!r}"
                 )
-            rankings.append(Ranking(tuple(row)))
+            seen.add(cid)
+        missing = expected - seen
+        if missing:
+            raise ParseError(
+                f"{path}: row {row_no} omits candidate "
+                f"{min(missing)!r}"
+            )
+        rankings.append(Ranking(tuple(row)))
     if not rankings:
         raise ParseError(f"{path}: no rankings found")
     return RankingSet(tuple(rankings))
@@ -342,10 +349,6 @@ def rankings_csv_text(rankings: Sequence[Ranking]) -> str:
     for ranking in rankings:
         writer.writerow(ranking.order)
     return buffer.getvalue()
-
-
-def write_rankings(rankings: Sequence[Ranking], path: str | Path) -> None:
-    _atomic_write(Path(path), rankings_csv_text(rankings))
 
 
 def _atomic_write(path: Path, content: str) -> None:
@@ -490,37 +493,7 @@ def build_fairness_spec(args: argparse.Namespace, table: CandidateTable) -> Fair
 # aggregate
 
 
-@dataclass
-class _Instance:
-    """One ranking set with its group index and solver limits.
-
-    The precedence matrix, the unaware Kemeny solution and its loss are
-    built on first use and then shared by every method solved on this
-    instance.
-    """
-
-    rankings: RankingSet
-    index: GroupIndex
-    budget_ms: int | None
-    max_exact_n: int
-    max_nodes: int | None
-
-    @cached_property
-    def matrix(self):
-        return build_precedence_matrix(self.rankings, self.index.table)
-
-    @cached_property
-    def kemeny(self) -> KemenySolution:
-        return kemeny_exact(
-            self.matrix, time_budget_ms=self.budget_ms, max_exact_n=self.max_exact_n
-        )
-
-    @cached_property
-    def kemeny_loss(self) -> Fraction:
-        return pd_loss(self.rankings, self.kemeny.ranking)
-
-
-@dataclass
+@dataclass(frozen=True)
 class _Solved:
     """A method's consensus and what the reports say about how it was found."""
 
@@ -534,6 +507,66 @@ class _Solved:
     price_of_fairness: Fraction | None = None
 
 
+def _searched(solution: KemenySolution, rankings: RankingSet) -> _Solved:
+    return _Solved(
+        solution.ranking,
+        pd_loss(rankings, solution.ranking),
+        solution.objective,
+        solution.optimal,
+        solution.nodes_explored,
+    )
+
+
+@dataclass
+class _Instance:
+    """One ranking set with its group index, fairness scope and solver limits.
+
+    ``scope`` names the entities the fairness-aware baselines score; its
+    thresholds are never read. The precedence matrix and each unaware
+    method's solution are built on first use and then shared by every
+    threshold solved on this instance: no unaware method reads a threshold,
+    so a memo keyed by method name is sound.
+    """
+
+    rankings: RankingSet
+    index: GroupIndex
+    scope: FairnessSpec
+    budget_ms: int | None
+    max_exact_n: int
+    max_nodes: int | None
+    _unaware: dict[str, _Solved] = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def matrix(self):
+        return build_precedence_matrix(self.rankings, self.index.table)
+
+    def unaware(self, method: str) -> _Solved:
+        """The shared solution of a threshold-independent method."""
+        if method not in self._unaware:
+            self._unaware[method] = self._solve_unaware(method)
+        return self._unaware[method]
+
+    def _solve_unaware(self, method: str) -> _Solved:
+        rankings, index = self.rankings, self.index
+        limits = {"time_budget_ms": self.budget_ms, "max_exact_n": self.max_exact_n}
+        if method == "kemeny":
+            return _searched(kemeny_exact(self.matrix, **limits), rankings)
+        if method == "kemeny-weighted":
+            solution = kemeny_weighted(rankings, self.scope, index, **limits)
+            return _searched(solution, rankings)
+        if method == "borda":
+            ranking = borda(rankings, index.table)
+        elif method == "copeland":
+            ranking = copeland(self.matrix)
+        elif method == "schulze":
+            ranking = schulze(self.matrix)
+        elif method == "pick-fairest":
+            ranking = pick_fairest(rankings, self.scope, index)
+        else:
+            raise ParseError(f"unknown method {method!r}")
+        return _Solved(ranking, pd_loss(rankings, ranking))
+
+
 def _solve(
     method: str,
     instance: _Instance,
@@ -544,6 +577,8 @@ def _solve(
 ) -> _Solved:
     """Run one method on one instance, for both aggregate and experiment.
 
+    ``spec`` holds the thresholds of the fair methods and must share the
+    instance's scope; the unaware methods come from the instance's memo.
     ``warm`` seeds the fair-kemeny search (other methods ignore it).
     ``want_pof`` prices fairness for fair-kemeny and kemeny-weighted
     against the unaware Kemeny solution; the repair pipelines always do.
@@ -560,21 +595,7 @@ def _solve(
             pd_loss_unaware=result.pd_loss_unaware,
             price_of_fairness=result.price_of_fairness,
         )
-
-    def scored(ranking: Ranking) -> _Solved:
-        return _Solved(ranking, pd_loss(rankings, ranking))
-
-    if method == "borda":
-        return scored(borda(rankings, index.table))
-    if method == "copeland":
-        return scored(copeland(instance.matrix))
-    if method == "schulze":
-        return scored(schulze(instance.matrix))
-    if method == "pick-fairest":
-        return scored(pick_fairest(rankings, spec, index))
-    if method == "kemeny":
-        solution = instance.kemeny
-    elif method == "fair-kemeny":
+    if method == "fair-kemeny":
         solution = fair_kemeny(
             instance.matrix,
             spec,
@@ -584,30 +605,16 @@ def _solve(
             max_nodes=instance.max_nodes,
             warm_starts=() if warm is None else (warm,),
         )
-    elif method == "kemeny-weighted":
-        solution = kemeny_weighted(
-            rankings,
-            spec,
-            index,
-            time_budget_ms=instance.budget_ms,
-            max_exact_n=instance.max_exact_n,
+        solved = _searched(solution, rankings)
+    else:
+        solved = instance.unaware(method)
+    if want_pof and method in ("fair-kemeny", "kemeny-weighted"):
+        unaware_loss = instance.unaware("kemeny").pd_loss
+        solved = replace(
+            solved,
+            pd_loss_unaware=unaware_loss,
+            price_of_fairness=solved.pd_loss - unaware_loss,
         )
-    else:
-        raise ParseError(f"unknown method {method!r}")
-    if method == "kemeny":
-        loss = instance.kemeny_loss
-    else:
-        loss = pd_loss(rankings, solution.ranking)
-    solved = _Solved(
-        solution.ranking,
-        loss,
-        solution.objective,
-        solution.optimal,
-        solution.nodes_explored,
-    )
-    if want_pof and method != "kemeny":
-        solved.pd_loss_unaware = instance.kemeny_loss
-        solved.price_of_fairness = loss - instance.kemeny_loss
     return solved
 
 
@@ -619,6 +626,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     instance = _Instance(
         rankings,
         spec.build_index(table),
+        spec,
         budget_ms=solver_budget_ms(args.budget_ms, "--budget-ms"),
         max_exact_n=args.max_exact_n,
         max_nodes=node_cap(args.max_nodes, "--max-nodes"),
@@ -858,11 +866,10 @@ _CELL_STATUS: dict[type, str] = {
 def cmd_experiment(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     config_path = Path(args.config)
-    with open(config_path, encoding="utf-8") as handle:
-        try:
-            config = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{config_path}: invalid JSON ({exc})") from exc
+    try:
+        config = json.loads(_read_text(config_path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{config_path}: invalid JSON ({exc})") from exc
     if not isinstance(config, dict):
         raise ParseError(f"{config_path}: the config must be a JSON object")
 
@@ -907,18 +914,18 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     attributes = config.get("attributes", "all")
     if attributes not in ("all", "none"):
         raise ParseError(f"attributes must be 'all' or 'none', got {attributes!r}")
+    # every threshold's spec shares one scope, which the instances carry
+    scope_spec = FairnessSpec(
+        intersection_attrs=scope, constrain_attributes=attributes == "all"
+    )
     specs = [
-        FairnessSpec(
-            delta_default=parse_delta(text, "delta"),
-            intersection_attrs=scope,
-            constrain_attributes=attributes == "all",
-        )
+        replace(scope_spec, delta_default=parse_delta(text, "delta"))
         for text in delta_texts
     ]
 
     report_spec = FairnessSpec(delta_default=Fraction(1), intersection_attrs=ALL)
     report_index = report_spec.build_index(table)
-    solver_index = specs[0].build_index(table)
+    solver_index = scope_spec.build_index(table)
 
     if "modal" in config and config.get("scenario") is not None:
         raise ParseError(f"{config_path}: give either 'modal' or 'scenario'")
@@ -939,7 +946,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         seed = derive_seed(base_seed, ti, trial)
         sampling = MallowsConfig(modal, theta_values[ti], num_rankings, seed)
         sampled = sample_mallows(sampling)
-        return _Instance(sampled, solver_index, budget_ms, max_exact_n, max_nodes)
+        return _Instance(
+            sampled, solver_index, scope_spec, budget_ms, max_exact_n, max_nodes
+        )
 
     instances = [
         [instance(ti, trial) for trial in range(trials)] for ti in range(len(thetas))

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InstanceTooLarge
+from .errors import InstanceTooLarge, ParseError
 from .metrics import FairnessSpec, entity_spread
 from .model import (
     GroupIndex,
@@ -28,6 +28,7 @@ from .model import (
     Ranking,
     RankingSet,
     build_precedence_matrix,
+    ranking_from_indices,
 )
 
 #: Environment variable holding the default solver time budget in ms.
@@ -66,13 +67,23 @@ class GroupConstraint:
 
 
 def resolve_budget_ms(time_budget_ms: int | None) -> int | None:
-    """Explicit budget wins; otherwise the environment default, else none."""
+    """Explicit budget wins; otherwise the environment default, else none.
+
+    The one reader of ``FAIRCONSENSUS_BUDGET_MS``: a value that is not an
+    integer >= 0 raises ``ParseError`` naming the variable.
+    """
     if time_budget_ms is not None:
         return time_budget_ms
     raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw:
-        return int(raw)
-    return None
+    if not raw:
+        return None
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ParseError(f"{BUDGET_ENV_VAR} must be an integer >= 0, got {raw!r}")
+    return budget
 
 
 def ranking_objective(wm: Sequence[Sequence[int]], order: Sequence[int]) -> int:
@@ -85,20 +96,32 @@ def ranking_objective(wm: Sequence[Sequence[int]], order: Sequence[int]) -> int:
     return total
 
 
+def _by_points(points: Sequence) -> list[int]:
+    """Candidate indices, most points (ints or tuples) first; ties keep table order."""
+    return sorted(range(len(points)), key=points.__getitem__, reverse=True)
+
+
 def _borda_points(wm: Sequence[Sequence[int]]) -> list[int]:
-    # column sum of the precedence matrix = weighted count of candidates
-    # ranked below, i.e. positional points
-    n = len(wm)
-    points = [0] * n
-    for row in wm:
-        for b in range(n):
-            points[b] += row[b]
-    return points
+    """Positional points, the precedence matrix's column sums: column ``b``
+    counts the (weighted) rankings placing ``b`` above each other candidate."""
+    return [sum(column) for column in zip(*wm)]
 
 
 def _borda_order(wm: Sequence[Sequence[int]]) -> list[int]:
-    points = _borda_points(wm)
-    return sorted(range(len(wm)), key=lambda c: (-points[c], c))
+    return _by_points(_borda_points(wm))
+
+
+def _add_row_points(points: list[int], rows: np.ndarray, weight: int = 1) -> list[int]:
+    """``points`` plus the positional points of rows of table indices.
+
+    Row ``r`` ranks ``rows[r, k]`` k-th, worth ``n - 1 - k`` points times
+    ``weight``. The rows' totals count in int64 and the weight multiplies
+    in Python ints, so any weight stays exact.
+    """
+    m, n = rows.shape
+    earned = np.zeros(n, dtype=np.int64)
+    np.add.at(earned, rows.ravel(), np.tile(np.arange(n - 1, -1, -1), m))
+    return [p + weight * e for p, e in zip(points, earned.tolist())]
 
 
 class _SearchAborted(Exception):
@@ -341,38 +364,26 @@ def kemeny_exact(
 
 def borda(rankings: RankingSet, table) -> Ranking:
     """Positional-points consensus: weighted count of candidates ranked below."""
-    n = table.n
-    points = [0] * n
+    by_weight: dict[int, list[list[int]]] = {}
     for ranking, weight in zip(rankings.rankings, rankings.weights):
-        for pos, cid in enumerate(ranking.order):
-            points[table.index_of(cid)] += weight * (n - 1 - pos)
-    order = sorted(range(n), key=lambda c: (-points[c], c))
-    return Ranking(tuple(table.candidate_ids[i] for i in order))
+        by_weight.setdefault(weight, []).append(ranking.to_indices(table))
+    points = [0] * table.n
+    for weight, rows in by_weight.items():
+        points = _add_row_points(points, np.array(rows), weight)
+    return ranking_from_indices(_by_points(points), table)
 
 
 def borda_streamed(batches, table) -> Ranking:
     """Borda consensus from batched integer ranking rows.
 
     ``batches`` yields arrays of shape (rows, n) whose entries are table
-    indices, e.g. from the ranking generator's batch iterator. Point totals
-    stay integer-exact (they fit comfortably in float64 mantissas) so the
-    result matches ``borda`` on the materialized set.
+    indices, e.g. from the ranking generator's batch iterator. The result
+    matches ``borda`` on the materialized set.
     """
-    n = table.n
-    points = np.zeros(n, dtype=np.float64)
-    below = np.arange(n - 1, -1, -1, dtype=np.float64)
+    points = [0] * table.n
     for rows in batches:
-        weights = np.tile(below, rows.shape[0])
-        points += np.bincount(rows.ravel(), weights=weights, minlength=n)
-    totals = points.astype(np.int64)
-    order = sorted(range(n), key=lambda c: (-int(totals[c]), c))
-    return Ranking(tuple(table.candidate_ids[i] for i in order))
-
-
-def _support_totals(wm: Sequence[Sequence[int]]) -> list[int]:
-    """Per-candidate weighted count of rankings placing it above another."""
-    n = len(wm)
-    return [sum(wm[a][c] for a in range(n)) for c in range(n)]
+        points = _add_row_points(points, rows)
+    return ranking_from_indices(_by_points(points), table)
 
 
 def copeland(precedence: PrecedenceMatrix) -> Ranking:
@@ -389,8 +400,7 @@ def copeland(precedence: PrecedenceMatrix) -> Ranking:
         for a in range(n):
             if a != b and wm[a][b] >= wm[b][a]:
                 wins[b] += 1
-    support = _support_totals(wm)
-    order = sorted(range(n), key=lambda c: (-wins[c], -support[c], c))
+    order = _by_points(list(zip(wins, _borda_points(wm))))
     return Ranking(tuple(precedence.ids[i] for i in order))
 
 
@@ -428,8 +438,7 @@ def schulze(precedence: PrecedenceMatrix) -> Ranking:
         for b in range(n):
             if a != b and p[a][b] > p[b][a]:
                 wins[a] += 1
-    support = _support_totals(wm)
-    order = sorted(range(n), key=lambda c: (-wins[c], -support[c], c))
+    order = _by_points(list(zip(wins, _borda_points(wm))))
     return Ranking(tuple(precedence.ids[i] for i in order))
 
 
@@ -448,28 +457,25 @@ def fairness_sort_key(
         num, den, _, _ = entity_spread(order, entity)
         return Fraction(num, den)
 
-    entities = index.attribute_entities if spec.constrain_attributes else ()
-    spreads = [spread(e) for e in entities if len(e.groups) >= 2]
-    inter_spread: Fraction | None = None
-    entity = index.intersection
-    if entity is not None and spec.intersection_attrs is not None and len(entity.groups) >= 2:
-        inter_spread = spread(entity)
-    scores = spreads + ([inter_spread] if inter_spread is not None else [])
-    overall = max(scores) if scores else Fraction(0)
-    key = [overall]
-    if inter_spread is not None:
-        key.append(inter_spread)
-    key.extend(spreads)
-    return tuple(key)
+    # the intersection, listed last, moves to the front; attributes keep order
+    scored = sorted(spec.entities(index), key=lambda e: not e.is_intersection)
+    spreads = [spread(e) for e in scored if len(e.groups) >= 2]
+    return (max(spreads, default=Fraction(0)), *spreads)
+
+
+def _fairest_first(
+    rankings: RankingSet, spec: FairnessSpec, index: GroupIndex
+) -> list[int]:
+    """Base-ranking positions by fairness key, fairest first; ties keep input order."""
+    keys = [fairness_sort_key(r, spec, index) for r in rankings.rankings]
+    return sorted(range(rankings.size), key=keys.__getitem__)
 
 
 def pick_fairest(
     rankings: RankingSet, spec: FairnessSpec, index: GroupIndex
 ) -> Ranking:
     """The base ranking with the lowest fairness key; ties keep input order."""
-    keys = [fairness_sort_key(r, spec, index) for r in rankings.rankings]
-    best = min(range(rankings.size), key=lambda i: (keys[i], i))
-    return rankings.rankings[best]
+    return rankings.rankings[_fairest_first(rankings, spec, index)[0]]
 
 
 def kemeny_weighted(
@@ -486,10 +492,8 @@ def kemeny_weighted(
     1..size, so fairer inputs pull the consensus harder; key ties keep
     input order (the earlier ranking counts as fairer).
     """
-    keys = [fairness_sort_key(r, spec, index) for r in rankings.rankings]
-    by_fairness = sorted(range(rankings.size), key=lambda i: (keys[i], i))
     weights = [0] * rankings.size
-    for t, i in enumerate(by_fairness):
+    for t, i in enumerate(_fairest_first(rankings, spec, index)):
         weights[i] = rankings.size - t
     weighted = RankingSet(rankings.rankings, tuple(weights))
     precedence = build_precedence_matrix(weighted, index.table)

@@ -71,12 +71,7 @@ def enabled_entities(
     thresholds of 1 (vacuous: a spread never exceeds 1).
     """
     chosen: list[tuple[Entity, Fraction]] = []
-    entities: list[Entity] = []
-    if spec.constrain_attributes:
-        entities.extend(index.attribute_entities)
-    if index.intersection is not None and spec.intersection_attrs is not None:
-        entities.append(index.intersection)
-    for entity in entities:
+    for entity in spec.entities(index):
         delta = spec.delta_for(entity.name)
         if len(entity.groups) >= 2 and delta < 1:
             chosen.append((entity, delta))
@@ -161,12 +156,6 @@ class _PositionSet:
     def min_pos_above(self, pos: int) -> int | None:
         k = self.rank(pos) + 1
         if k > self.count:
-            return None
-        return self.kth(k)
-
-    def max_pos_below(self, pos: int) -> int | None:
-        k = self.rank(pos - 1)
-        if k == 0:
             return None
         return self.kth(k)
 

@@ -172,6 +172,15 @@ class FairnessSpec:
     def build_index(self, table: CandidateTable) -> GroupIndex:
         return build_group_index(table, self.intersection_attrs)
 
+    def entities(self, index: GroupIndex) -> tuple[Entity, ...]:
+        """Entities this spec scores: the attributes in declared order unless
+        ``constrain_attributes`` is off, then the intersection if both the
+        spec and ``index`` have one."""
+        chosen = index.attribute_entities if self.constrain_attributes else ()
+        if index.intersection is not None and self.intersection_attrs is not None:
+            chosen += (index.intersection,)
+        return chosen
+
 
 @dataclass(frozen=True)
 class FairnessReport:
@@ -211,13 +220,7 @@ def evaluate_fairness(
     worst_excess: Fraction | None = None
     satisfied = True
 
-    evaluated: list[Entity] = []
-    if spec.constrain_attributes:
-        evaluated.extend(index.attribute_entities)
-    if index.intersection is not None and spec.intersection_attrs is not None:
-        evaluated.append(index.intersection)
-
-    for entity in evaluated:
+    for entity in spec.entities(index):
         if len(entity.groups) < 2:
             warnings.append(
                 f"{entity.name}: single non-empty group, score skipped"

@@ -14,11 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateGroup,
-    InconsistentCandidateSet,
-    UnknownAttribute,
-)
+from .errors import InconsistentCandidateSet, UnknownAttribute
 
 #: Sentinel: build the intersection over every declared attribute.
 ALL = "all"
@@ -245,27 +241,6 @@ class GroupIndex:
             f"attribute {name!r} is not declared "
             f"(declared: [{', '.join(e.name for e in self.attribute_entities)}])"
         )
-
-    def entities(
-        self, *, attributes: bool = True, intersection: bool = True
-    ) -> tuple[Entity, ...]:
-        out: list[Entity] = []
-        if attributes:
-            out.extend(self.attribute_entities)
-        if intersection and self.intersection is not None:
-            out.append(self.intersection)
-        return tuple(out)
-
-    def group_member_ids(self, entity_name: str, label) -> tuple[str, ...]:
-        entity = (
-            self.intersection
-            if entity_name == INTERSECTION and self.intersection is not None
-            else self.attribute(entity_name)
-        )
-        for group in entity.groups:
-            if group.label == label:
-                return tuple(self.table.candidate_ids[i] for i in group.members)
-        raise DegenerateGroup(f"no group {label!r} under {entity_name!r}")
 
 
 def build_group_index(

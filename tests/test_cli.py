@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from fairconsensus import Ranking, pd_loss
+from fairconsensus import Ranking, cli, pd_loss
 from fairconsensus.cli import METHODS, main
 from fairconsensus.mallows import derive_seed
 
@@ -495,6 +496,34 @@ class TestExperiment:
             == 2
         )
 
+    def test_unaware_methods_solve_once_per_instance(self, grid_case, monkeypatch):
+        """No unaware method reads a threshold: one solve per (theta, trial)."""
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(cli, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in ("kemeny_weighted", "pick_fairest"):
+            monkeypatch.setattr(cli, name, counting(name))
+        config = {
+            **SMALL_EXPERIMENT,
+            "methods": ["pick-fairest", "kemeny-weighted"],
+            "thetas": [0.3, 0.9],
+            "deltas": ["0.1", "0.3"],
+            "trials": 2,
+        }
+        Path("config.json").write_text(json.dumps(config))
+        assert main(EXPERIMENT) == 0
+        assert calls == {"kemeny_weighted": 4, "pick_fairest": 4}
+        rows = list(csv.DictReader(open("out/runs.csv")))
+        assert len(rows) == 2 * 2 * 2 * 2
+
 
 @pytest.fixture
 def grid_case(tmp_path, monkeypatch):
@@ -579,6 +608,24 @@ class TestInputBoundary:
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, name, content",
+        [
+            pytest.param(
+                AGGREGATE, "candidates.csv", b"candidate_id,g\na,\xff\xfe\nb,y\n",
+                id="candidates",
+            ),
+            pytest.param(AGGREGATE, "rankings.csv", b"c00,\xff\n", id="rankings"),
+            pytest.param(EXPERIMENT, "config.json", b"\xff{", id="config"),
+        ],
+    )
+    def test_non_utf8_input_exits_2(self, grid_case, capsys, argv, name, content):
+        Path(name).write_bytes(content)
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {name}: not valid UTF-8")
         assert not Path("out").exists()
 
     def test_config_intersection_string_reads_as_names(self, grid_case):

@@ -24,7 +24,7 @@ from fairconsensus import (
     ranking_objective,
     schulze,
 )
-from fairconsensus.errors import InstanceTooLarge
+from fairconsensus.errors import InstanceTooLarge, ParseError
 from fairconsensus.model import ALL, build_group_index
 
 import helpers
@@ -93,6 +93,37 @@ class TestBorda:
             )
             batches = [rows[:7], rows[7:8], rows[8:]]
             assert borda_streamed(iter(batches), table) == borda(rankings, table)
+
+    def test_points_are_precedence_column_sums(self, rng):
+        """Weighted positional points equal the precedence matrix's column
+        sums, the identity the matrix-based Borda seed relies on."""
+        for _ in range(5):
+            table = helpers.random_table(9, {"t": ["g", "o"]}, rng)
+            base = helpers.random_ranking_set(table, 12, rng)
+            weights = tuple(rng.choice((1, 2, 3, 7, 1000)) for _ in range(base.size))
+            rankings = RankingSet(base.rankings, weights)
+            points = build_precedence_matrix(rankings, table).matrix.sum(axis=0)
+            order = sorted(range(table.n), key=lambda c: (-int(points[c]), c))
+            expected = Ranking(tuple(table.candidate_ids[i] for i in order))
+            assert borda(rankings, table) == expected
+
+    def test_huge_weights_stay_exact(self, abc_table):
+        # c = 2w + 2, b = 2w + 1, a = 2w: equal in float64, not in integers
+        w = 10**20
+        rankings = RankingSet(
+            (Ranking(("c", "b", "a")), Ranking(("a", "b", "c"))), (w + 1, w)
+        )
+        assert borda(rankings, abc_table) == Ranking(("c", "b", "a"))
+
+
+class TestBudgetEnvironment:
+    @pytest.mark.parametrize("raw", ["abc", "-5"])
+    def test_malformed_value_is_parse_error(self, abc_table, monkeypatch, raw):
+        monkeypatch.setenv("FAIRCONSENSUS_BUDGET_MS", raw)
+        rankings = RankingSet((Ranking(("a", "b", "c")),))
+        matrix = build_precedence_matrix(rankings, abc_table)
+        with pytest.raises(ParseError, match="FAIRCONSENSUS_BUDGET_MS"):
+            kemeny_exact(matrix)
 
 
 class TestCondorcetMethods:

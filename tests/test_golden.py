@@ -1,8 +1,9 @@
 """Golden outputs: every CLI data file hashes to a recorded digest.
 
 The command set covers ``generate``, ``aggregate`` for every method under
-two flag sets, ``metrics``, and two ``experiment`` runs over every method:
-one with truncated searches, one whose cells end infeasible or stalled.
+two flag sets, ``metrics``, and three ``experiment`` runs over every method:
+one with truncated searches, the same without per-attribute constraints,
+and one whose cells end infeasible or stalled.
 Commands run from the working directory with relative paths, because
 ``metrics.json`` records the scored file's path. Timing sidecars hold wall
 times and are left out. A refactor that changes any output byte fails here.
@@ -59,6 +60,9 @@ EXPERIMENT = {
     # truncates some searches, so the warm-start order shows in the outputs
     "max_nodes": 200,
 }
+# only the intersection is scored, so pick-fairest and kemeny-weighted,
+# solved once per (theta, trial), order the base rankings by it alone
+SCOPE_EXPERIMENT = {**EXPERIMENT, "attributes": "none"}
 # three against one at a zero threshold: cells end infeasible or stalled
 STATUS_EXPERIMENT = {
     "candidates": "team.csv",
@@ -83,6 +87,7 @@ def run_commands(root: Path, monkeypatch) -> dict[str, str]:
         for cid, row in zip(table.candidate_ids, table.values):
             writer.writerow([cid, *row])
     Path("config.json").write_text(json.dumps(EXPERIMENT))
+    Path("scope.json").write_text(json.dumps(SCOPE_EXPERIMENT))
     Path("team.csv").write_text("candidate_id,team\na,g\nb,g\nc,g\nd,o\n")
     Path("team-modal.csv").write_text("a,b,c,d\n")
     Path("status.json").write_text(json.dumps(STATUS_EXPERIMENT))
@@ -114,6 +119,7 @@ def run_commands(root: Path, monkeypatch) -> dict[str, str]:
         )
     )
     commands.append(("exp", ["experiment", "--config", "config.json"]))
+    commands.append(("exp-scope", ["experiment", "--config", "scope.json"]))
     commands.append(("exp-status", ["experiment", "--config", "status.json"]))
     for out, argv in commands:
         assert main([*argv, "--out", out]) == 0, out
@@ -174,6 +180,9 @@ EXPECTED: dict[str, str] = {
     "exp/modal.csv": "d181495486279f9ffa75b3559f3a7e5b5af58fa0ddaf508883f098518fbf4820",
     "exp/runs.csv": "075e83d41ead929b9b157798e9476c8e74223760e29b33e5c16a60966ec2e052",
     "exp/summary.csv": "223d8dd6228b4e6a076889d9cfc0bddf25e4b4a77e1686d6b974f9292e88ab3f",
+    "exp-scope/modal.csv": "d181495486279f9ffa75b3559f3a7e5b5af58fa0ddaf508883f098518fbf4820",
+    "exp-scope/runs.csv": "0adabbecddfe33631de76f905c46144aef9fb18c1b9319dd7e3b359bac0f9a63",
+    "exp-scope/summary.csv": "75272b15b57518303b77c2b15bd2d06549bd90891c2f9d28f7f58ceb04cca4ff",
     "exp-status/modal.csv": "3a9a2e6c60381420a0591306dd22f31cdab41a73eae6268ded2c8c3914a5e419",
     "exp-status/runs.csv": "7e8b2c4f461447f7d693b23a414a1ec0e9527893d374a7f7e63ccd8335481577",
     "exp-status/summary.csv": "0e702dd5d2907672bbfa224b41a9fc57635533b3f61843197f332d7da1d8bbd7",
