@@ -10,8 +10,15 @@ theta = 0 is uniform; large theta concentrates on the modal order.
 Randomness comes from SplitMix64 (64-bit add-and-mix generator; golden
 gamma increment with a three-step xor-shift-multiply finalizer), chosen so
 streams are reproducible across platforms. Every ranking draws from its own
-substream derived from (seed, ranking index), making output independent of
-generation order or batching.
+substream derived from (seed, ranking index): ranking r's k-th uniform is
+the k-th output of ``SplitMix64(mix(seed + gamma * (r + 1)))``, making
+output independent of generation order or batching.
+
+A batch decodes one insertion step at a time across all of its rankings
+(Lu & Boutilier, JMLR 2014): every step draws its uniforms as one row,
+finds each ranking's insertion point with one ``searchsorted``, and shifts
+the earlier candidates at or after that point down by one in a small
+position array; one scatter then writes the finished rows.
 """
 
 from __future__ import annotations
@@ -72,20 +79,24 @@ def derive_seed(seed: int, *parts: int) -> int:
 
 
 def _uniform_matrix(seed: int, start_index: int, count: int, width: int) -> np.ndarray:
-    """Uniforms in [0, 1): row k holds the substream for ranking start+k."""
+    """Uniforms in [0, 1), step-major: column k is ranking start+k's substream."""
     indices = np.arange(start_index, start_index + count, dtype=np.uint64)
     with np.errstate(over="ignore"):
         sub = np.uint64(seed) + np.uint64(_GAMMA) * (indices + np.uint64(1))
         sub = _mix64_np(sub)
         steps = np.uint64(_GAMMA) * np.arange(1, width + 1, dtype=np.uint64)
-        words = _mix64_np(sub[:, None] + steps[None, :])
+        words = _mix64_np(steps[:, None] + sub[None, :])
     return words * _INV_2_64
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """The finalizer of ``_mix64_int``, applied in place to a fresh array."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 @dataclass(frozen=True)
@@ -98,38 +109,24 @@ class MallowsConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.theta < 0:
-            raise ValueError(f"theta must be non-negative, got {self.theta}")
+        _check_theta(self.theta)
         if self.num_rankings < 1:
             raise ValueError("num_rankings must be positive")
 
 
+def _check_theta(theta: float) -> None:
+    if not theta >= 0:  # also rejects NaN
+        raise ValueError(f"theta must be non-negative, got {theta}")
+
+
 def _insertion_cumsums(n: int, theta: float) -> list[np.ndarray]:
-    """cums[i] for step i+2: cumulative insertion weights, small terms first."""
-    phi = float(np.exp(-theta))
-    cums = []
-    for i in range(2, n + 1):
-        weights = phi ** np.arange(i - 1, -1, -1, dtype=np.float64)
-        cums.append(np.cumsum(weights))
-    return cums
+    """cums[i] for step i+2: cumulative insertion weights, small terms first.
 
-
-def iter_insertion_batches(
-    n: int, theta: float, num_rankings: int, seed: int, batch_size: int = 4096
-) -> Iterator[np.ndarray]:
-    """Insertion-position matrices (rows of j_2..j_n, 1-based) in batches."""
-    cums = _insertion_cumsums(n, theta)
-    produced = 0
-    while produced < num_rankings:
-        count = min(batch_size, num_rankings - produced)
-        uniforms = _uniform_matrix(seed, produced, count, n - 1)
-        positions = np.empty((count, n - 1), dtype=np.int64)
-        for step, cum in enumerate(cums):
-            targets = uniforms[:, step] * cum[-1]
-            found = np.searchsorted(cum, targets, side="right")
-            positions[:, step] = np.minimum(found, step + 1) + 1
-        yield positions
-        produced += count
+    The i-th modal candidate weighs its i slots phi**(i-1), ..., phi**0 from
+    the top, so every step reads a reversed prefix of one power table.
+    """
+    powers = float(np.exp(-theta)) ** np.arange(n, dtype=np.float64)
+    return [np.cumsum(powers[i - 1 :: -1]) for i in range(2, n + 1)]
 
 
 def iter_ranking_batches(
@@ -142,25 +139,32 @@ def iter_ranking_batches(
     """Sampled rankings as integer rows (permutations of ``modal_indices``).
 
     Streaming form for large runs: rows arrive in batches and never need to
-    be materialized all at once.
+    be materialized all at once. A NaN or negative ``theta`` and a
+    ``batch_size`` below 1 raise ``ValueError``.
     """
-    n = len(modal_indices)
-    modal = list(modal_indices)
-    if n == 1:
-        row = np.array([modal], dtype=np.int64)
-        for start in range(0, num_rankings, batch_size):
-            count = min(batch_size, num_rankings - start)
-            yield np.repeat(row, count, axis=0)
-        return
-    for positions in iter_insertion_batches(n, theta, num_rankings, seed, batch_size):
-        rows = np.empty((positions.shape[0], n), dtype=np.int64)
-        for r in range(positions.shape[0]):
-            current = [modal[0]]
-            insert = current.insert
-            prow = positions[r]
-            for step in range(n - 1):
-                insert(prow[step] - 1, modal[step + 1])
-            rows[r] = current
+    _check_theta(theta)
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
+    modal = np.asarray(modal_indices, dtype=np.int64)
+    n = len(modal)
+    cums = _insertion_cumsums(n, theta)
+    pos_dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
+    for start in range(0, num_rankings, batch_size):
+        count = min(batch_size, num_rankings - start)
+        uniforms = _uniform_matrix(seed, start, count, n - 1)
+        # pos[i, r]: where row r currently holds the i-th modal candidate
+        pos = np.zeros((n, count), dtype=pos_dtype)
+        for step, cum in enumerate(cums):
+            found = np.searchsorted(cum, uniforms[step] * cum[-1], side="right")
+            point = np.minimum(found, step + 1).astype(pos_dtype)
+            earlier = pos[: step + 1]
+            # candidates at or after the insertion point move down one; the
+            # int8 view keeps the add on numpy's integer loop, not a bool cast
+            earlier += (earlier >= point).view(np.int8)
+            pos[step + 1] = point
+        del uniforms  # spent; free them before the rows are allocated
+        rows = np.empty((count, n), dtype=np.int64)
+        rows[np.arange(count), pos] = modal[:, None]
         yield rows
 
 

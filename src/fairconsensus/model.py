@@ -305,18 +305,31 @@ class PrecedenceMatrix:
 
 
 def build_precedence_matrix(rankings: RankingSet, table: CandidateTable) -> PrecedenceMatrix:
-    """Accumulate the weighted precedence matrix in table candidate order."""
+    """Accumulate the weighted precedence matrix in table candidate order.
+
+    Rankings count in int64 per distinct weight and each weight multiplies
+    its counts once. The matrix is int64 when the total weight fits, else
+    an object array of Python ints, so any weight stays exact.
+    """
     n = table.n
     if rankings.n != n:
         raise InconsistentCandidateSet(
             f"ranking set covers {rankings.n} candidates, table has {n}"
         )
-    matrix = np.zeros((n, n), dtype=np.int64)
-    pos = np.empty(n, dtype=np.int64)
+    by_weight: dict[int, list[Ranking]] = {}
     for ranking, weight in zip(rankings.rankings, rankings.weights):
-        indices = ranking.to_indices(table)
-        for rank_pos, cand in enumerate(indices):
-            pos[cand] = rank_pos
-        # b precedes a exactly when pos[b] < pos[a]
-        matrix += weight * (pos[:, None] > pos[None, :])
+        by_weight.setdefault(weight, []).append(ranking)
+    exact = np.int64 if rankings.total_weight <= np.iinfo(np.int64).max else object
+    matrix = np.zeros((n, n), dtype=exact)
+    count = np.empty((n, n), dtype=np.int64)
+    pos = np.empty(n, dtype=np.int64)
+    for weight, group in by_weight.items():
+        count.fill(0)
+        for ranking in group:
+            indices = ranking.to_indices(table)
+            for rank_pos, cand in enumerate(indices):
+                pos[cand] = rank_pos
+            # b precedes a exactly when pos[b] < pos[a]
+            count += pos[:, None] > pos[None, :]
+        matrix += count.astype(exact, copy=False) * weight
     return PrecedenceMatrix(table.candidate_ids, matrix, rankings.total_weight)

@@ -7,14 +7,19 @@ tests can freeze seeds and stay reproducible across runs and platforms.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from fairconsensus import (
     CandidateTable,
     Ranking,
     RankingSet,
+    SplitMix64,
 )
+from fairconsensus.mallows import _GAMMA, _mix64_int
 
 
 def grid_table(
@@ -122,3 +127,25 @@ def favored_share_reference(
             elif top in others and bottom in members:
                 mixed += 1
     return Fraction(favored, mixed) if mixed else Fraction(0)
+
+
+def reference_mallows(
+    modal: Sequence[int], theta: float, num_rankings: int, seed: int
+) -> list[list[int]]:
+    """Scalar repeated-insertion sampler; independent reference for the batch
+    decode. Ranking r reads its own SplitMix64 substream, one uniform per
+    insertion step, and inserts into a Python list."""
+    phi = float(np.exp(-theta))
+    cums = [
+        np.cumsum(phi ** np.arange(i - 1, -1, -1, dtype=np.float64)).tolist()
+        for i in range(2, len(modal) + 1)
+    ]
+    rows = []
+    for r in range(num_rankings):
+        gen = SplitMix64(_mix64_int(seed + _GAMMA * (r + 1)))
+        current = [modal[0]]
+        for step, cum in enumerate(cums):
+            point = min(bisect_right(cum, gen.random() * cum[-1]), step + 1)
+            current.insert(point, modal[step + 1])
+        rows.append(current)
+    return rows

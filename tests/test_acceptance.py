@@ -25,6 +25,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
+
 import helpers
 
 from fairconsensus import (
@@ -226,6 +228,7 @@ def test_exact_solver_matches_enumeration_oracle():
 # --------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_constraint_scope_ablation():
     scopes = desk_scopes()
     report_spec, report_index = scopes["full"]
@@ -284,6 +287,7 @@ def test_constraint_scope_ablation():
 # --------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_fairness_cost_weakly_decreases_with_threshold():
     table = desk_table()
     _, index = desk_scopes()["full"]
@@ -387,6 +391,7 @@ def test_sampler_matches_exact_distribution():
 # --------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_preference_loss_method_ordering():
     spec, index = desk_scopes()["full"]
     table = desk_table()
@@ -432,6 +437,7 @@ def test_preference_loss_method_ordering():
 # --------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_large_instance_runtime():
     spec_delta = Fraction(33, 100)
 

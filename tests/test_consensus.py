@@ -16,6 +16,7 @@ from fairconsensus import (
     borda_streamed,
     build_precedence_matrix,
     copeland,
+    fair_kemeny,
     fairness_sort_key,
     kemeny_exact,
     kemeny_weighted,
@@ -158,6 +159,31 @@ class TestCondorcetMethods:
         pm = build_precedence_matrix(rankings, table)
         assert copeland(pm) == Ranking(("a", "b", "c"))
         assert schulze(pm) == Ranking(("a", "b", "c"))
+
+
+class TestHugeWeights:
+    def test_solvers_take_weights_beyond_int64(self, rng):
+        """Scaling every weight by 10**20 keeps each solver's order and
+        scales each objective exactly."""
+        table = helpers.grid_table(8, 2, 2)
+        spec = FairnessSpec(delta_default=Fraction(1, 4), intersection_attrs=ALL)
+        index = spec.build_index(table)
+        base = helpers.random_ranking_set(table, 5, rng, weights=[1, 2, 1, 3, 1])
+        scale = 10**20
+        huge = RankingSet(base.rankings, tuple(w * scale for w in base.weights))
+        small_pm = build_precedence_matrix(base, table)
+        huge_pm = build_precedence_matrix(huge, table)
+        assert small_pm.matrix.dtype == np.int64
+        assert huge_pm.cost_lists() == [
+            [v * scale for v in row] for row in small_pm.cost_lists()
+        ]
+        assert copeland(huge_pm) == copeland(small_pm)
+        assert schulze(huge_pm) == schulze(small_pm)
+        for solve in (kemeny_exact, lambda pm: fair_kemeny(pm, spec, index)):
+            small, big = solve(small_pm), solve(huge_pm)
+            assert big.ranking == small.ranking
+            assert big.objective == small.objective * scale
+            assert big.optimal and small.optimal
 
 
 class TestKemenyExact:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fairconsensus import (
     MallowsConfig,
@@ -151,6 +154,74 @@ class TestSampling:
             MallowsConfig(modal, -0.1, 5, 0)
         with pytest.raises(ValueError):
             MallowsConfig(modal, 0.5, 0, 0)
+        with pytest.raises(ValueError):
+            MallowsConfig(modal, float("nan"), 5, 0)
+
+    def test_batch_input_guards(self):
+        with pytest.raises(ValueError):
+            next(iter_ranking_batches(range(3), 0.5, 5, 0, batch_size=0))
+        with pytest.raises(ValueError):
+            next(iter_ranking_batches(range(3), float("nan"), 5, 0))
+        with pytest.raises(ValueError):
+            next(iter_ranking_batches(range(3), -1.0, 5, 0))
+
+
+def _batch_digest(n, theta, num_rankings, seed, batch_size):
+    modal = [(7 * i + 3) % n for i in range(n)]
+    digest = hashlib.sha256()
+    for rows in iter_ranking_batches(
+        modal, theta, num_rankings, seed, batch_size=batch_size
+    ):
+        digest.update(rows.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
+class TestSamplerStreams:
+    """The batch decode reproduces every ranking's own substream."""
+
+    @pytest.mark.parametrize(
+        ("shape", "expected"),
+        [
+            (
+                (100, 0.6, 20_000, 6, 8192),
+                "12971ed977c771101622317c480b95dd7b1d0036b2a8c265e1818a15f4d63285",
+            ),
+            (
+                (1200, 1.0, 100, 5, 100),
+                "50a8960b125a663c8c54c30873ed12f9fe8e3bbd806e8941f2e38f6bc23226f7",
+            ),
+            (
+                (24, 0.0, 500, 2**64 - 1, 37),
+                "7a0cfc40626fcd9c8216767d6ae7d15da8871e8abcd2864a44e3f41e0ee34ffa",
+            ),
+        ],
+        ids=["deep", "n1200", "theta0"],
+    )
+    def test_pinned_digests(self, shape, expected):
+        assert _batch_digest(*shape) == expected
+
+    @given(
+        n=st.integers(1, 30),
+        theta=st.one_of(
+            st.just(0.0),
+            st.floats(0, 3, exclude_min=True, exclude_max=True),
+            st.just(40.0),
+        ),
+        num_rankings=st.integers(0, 60),
+        seed=st.integers(0, 2**64 - 1),
+        batch_size=st.integers(1, 50),
+        data=st.data(),
+    )
+    def test_matches_scalar_reference(
+        self, n, theta, num_rankings, seed, batch_size, data
+    ):
+        modal = data.draw(st.permutations(range(n)))
+        batches = list(
+            iter_ranking_batches(modal, theta, num_rankings, seed, batch_size)
+        )
+        assert all(b.dtype == np.int64 and b.shape[1] == n for b in batches)
+        rows = [row for b in batches for row in b.tolist()]
+        assert rows == helpers.reference_mallows(modal, theta, num_rankings, seed)
 
 
 class TestMixedBlockModal:
