@@ -15,7 +15,8 @@ solver is tested against.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right, insort
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from typing import Literal, Sequence
@@ -103,61 +104,21 @@ def _order_satisfies(
     return True
 
 
-class _PositionSet:
-    """Fenwick tree over 1-based ranking positions for one group's members."""
+@dataclass(slots=True)
+class _RepairEntity:
+    """One enabled entity's state in the swap repair: its favored-pair
+    counts, its cached spread and each group's member positions, sorted."""
 
-    __slots__ = ("n", "tree", "count", "_top_bit")
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.tree = [0] * (n + 1)
-        self.count = 0
-        top = 1
-        while top * 2 <= n:
-            top *= 2
-        self._top_bit = top
-
-    def add(self, pos: int) -> None:
-        self.count += 1
-        while pos <= self.n:
-            self.tree[pos] += 1
-            pos += pos & -pos
-
-    def remove(self, pos: int) -> None:
-        self.count -= 1
-        while pos <= self.n:
-            self.tree[pos] -= 1
-            pos += pos & -pos
-
-    def rank(self, pos: int) -> int:
-        """Members at positions <= pos."""
-        total = 0
-        while pos > 0:
-            total += self.tree[pos]
-            pos -= pos & -pos
-        return total
-
-    def kth(self, k: int) -> int:
-        """Position of the k-th highest-placed member (k is 1-based)."""
-        pos = 0
-        bit = self._top_bit
-        tree = self.tree
-        while bit:
-            nxt = pos + bit
-            if nxt <= self.n and tree[nxt] < k:
-                pos = nxt
-                k -= tree[nxt]
-            bit >>= 1
-        return pos + 1
-
-    def max_pos(self) -> int:
-        return self.kth(self.count)
-
-    def min_pos_above(self, pos: int) -> int | None:
-        k = self.rank(pos) + 1
-        if k > self.count:
-            return None
-        return self.kth(k)
+    entity: Entity
+    gid: tuple[int, ...]
+    favored: list[int]
+    omegas: list[int]
+    dnum: int
+    dden: int
+    positions: list[list[int]]
+    other_gids: list[tuple[int, ...]] = field(default_factory=list)
+    can_be_clean: bool = False
+    spread: tuple[int, int, int, int] = (0, 1, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -195,8 +156,19 @@ def repair_ranking(
     further pairs and then to the next-largest violated entity, and the
     repair stops with an error when every violated entity runs out of legal,
     unvisited swaps. The default cap of ``2 * n**2`` swaps bounds the walk
-    regardless.
+    regardless; ``max_swaps`` must be a non-negative ``int``.
+
+    Each group's member positions are kept in a sorted list and queried by
+    bisection, so pairing a member with its partner costs O(log n); a swap
+    deletes and inserts one position in two lists of each entity it
+    changes, an O(n) memmove in C per list. Scores compare by integer
+    cross-multiplication and are recomputed only for entities the last swap
+    changed.
     """
+    if max_swaps is not None and (
+        isinstance(max_swaps, bool) or not isinstance(max_swaps, int) or max_swaps < 0
+    ):
+        raise ValueError(f"max_swaps must be a non-negative int, got {max_swaps!r}")
     table = index.table
     n = table.n
     cap = max_swaps if max_swaps is not None else 2 * n * n
@@ -205,85 +177,80 @@ def repair_ranking(
     pairs.sort(key=lambda p: (not p[0].is_intersection,))
 
     order = ranking.to_indices(table)
-    pos = [0] * n
-    for p, c in enumerate(order):
-        pos[c] = p
-
     ents = []
     for entity, delta in pairs:
-        k = len(entity.groups)
-        favored = favored_pair_counts(order, entity.gid, k)
-        omegas = [g.mixed_pairs for g in entity.groups]
-        position_sets = [_PositionSet(n) for _ in range(k)]
-        for group, pset in zip(entity.groups, position_sets):
-            for member in group.members:
-                pset.add(pos[member] + 1)
+        gid = entity.gid
+        positions: list[list[int]] = [[] for _ in entity.groups]
+        for p, c in enumerate(order):
+            positions[gid[c]].append(p)
         ents.append(
-            {
-                "entity": entity,
-                "gid": entity.gid,
-                "favored": favored,
-                "omegas": omegas,
-                "delta": (delta.numerator, delta.denominator),
-                "psets": position_sets,
-            }
+            _RepairEntity(
+                entity,
+                gid,
+                favored_pair_counts(order, gid, len(entity.groups)),
+                [g.mixed_pairs for g in entity.groups],
+                delta.numerator,
+                delta.denominator,
+                positions,
+            )
         )
     for ent in ents:
+        ent.other_gids = [o.gid for o in ents if o is not ent]
         # Can two candidates differ in this entity yet agree on all others?
         # Only then is a disturbance-free swap pair worth scanning for.
-        others = [o["gid"] for o in ents if o is not ent]
         profile_gid: dict[tuple[int, ...], int] = {}
-        can_be_clean = False
         for c in range(n):
-            key = tuple(g[c] for g in others)
-            prev = profile_gid.setdefault(key, ent["gid"][c])
-            if prev != ent["gid"][c]:
-                can_be_clean = True
+            key = tuple(g[c] for g in ent.other_gids)
+            if profile_gid.setdefault(key, ent.gid[c]) != ent.gid[c]:
+                ent.can_be_clean = True
                 break
-        ent["can_be_clean"] = can_be_clean
 
     # Rolling hash of the current order so already-seen orders can be vetoed:
     # revisiting one would repeat the same deterministic swap sequence forever.
     hash_mod = (1 << 61) - 1
     hash_pow = [pow(1_000_003, c, hash_mod) for c in range(n)]
-    order_hash = sum(pos[c] * hash_pow[c] for c in range(n)) % hash_mod
+    order_hash = sum(p * hash_pow[c] for p, c in enumerate(order)) % hash_mod
     seen_orders = {order_hash}
     max_seen = 1 << 20  # stop recording (but keep consulting) past this size
 
     swaps: list[tuple[str, str, str]] = []
     iterations = 0
+    dirty = ents
     while True:
-        violated = []  # (num, den, ent, hi, lo) per out-of-threshold entity
+        for ent in dirty:
+            ent.spread = spread_of(ent.favored, ent.omegas)
+        # out-of-threshold entities, largest spread first; equal spreads
+        # keep priority order
+        violated: list[_RepairEntity] = []
         for ent in ents:
-            num, den, hi, lo = spread_of(ent["favored"], ent["omegas"])
-            dnum, dden = ent["delta"]
-            if num * dden <= dnum * den:
+            num, den, _, _ = ent.spread
+            if num * ent.dden <= ent.dnum * den:
                 continue  # within threshold
-            violated.append((num, den, ent, hi, lo))
+            at = len(violated)
+            while at and violated[at - 1].spread[0] * den < num * violated[at - 1].spread[1]:
+                at -= 1
+            violated.insert(at, ent)
         if not violated:
             break
         if iterations >= cap:
             raise RepairStalled(
                 f"fairness repair did not converge within {cap} swaps"
             )
-        violated.sort(key=lambda v: Fraction(v[0], v[1]), reverse=True)
         chosen = None
-        for _, _, ent, hi, lo in violated:
-            hi_set, lo_set = ent["psets"][hi], ent["psets"][lo]
-            want_clean = ent["can_be_clean"]
-            other_gids = [o["gid"] for o in ents if o is not ent]
+        for ent in violated:
+            _, _, hi, lo = ent.spread
+            highs, lows = ent.positions[hi], ent.positions[lo]
+            want_clean = ent.can_be_clean
+            other_gids = ent.other_gids
             fallback = None
             scanned = 0
             # Walk the highest-share group's members bottom-up; pair each
             # with the nearest lower-share member beneath it. Members below
             # the lower-share group's last position have no partner, so the
             # walk starts at the lowest member that has one.
-            for c in range(hi_set.rank(lo_set.max_pos() - 1), 0, -1):
-                high_pos = hi_set.kth(c)
-                low_pos = lo_set.min_pos_above(high_pos)
-                if low_pos is None:
-                    continue
-                p0, s0 = high_pos - 1, low_pos - 1
+            for c in range(bisect_left(highs, lows[-1]) - 1, -1, -1):
+                p0 = highs[c]
+                s0 = lows[bisect_right(lows, p0)]
                 demoted, promoted = order[p0], order[s0]
                 next_hash = (
                     order_hash
@@ -292,14 +259,14 @@ def repair_ranking(
                 if next_hash in seen_orders:
                     continue
                 if fallback is None:
-                    fallback = (ent, high_pos, low_pos, next_hash)
+                    fallback = (ent, p0, s0, next_hash)
                     if not want_clean:
                         break
                 scanned += 1
                 if want_clean and all(
                     g[demoted] == g[promoted] for g in other_gids
                 ):
-                    chosen = (ent, high_pos, low_pos, next_hash)
+                    chosen = (ent, p0, s0, next_hash)
                     break
                 if scanned >= 48:
                     break  # bounded scan; settle for the first legal pair
@@ -312,41 +279,41 @@ def repair_ranking(
                 "fairness repair cycled: every violated entity's swap would"
                 " revisit an earlier order or has no legal pair left"
             )
-        ent, high_pos, low_pos, order_hash = chosen
+        ent, p0, s0, order_hash = chosen
         if len(seen_orders) < max_seen:
             seen_orders.add(order_hash)
-        p0, s0 = high_pos - 1, low_pos - 1
         demoted, promoted = order[p0], order[s0]
 
         span = s0 - p0
+        dirty = []
         for other in ents:
-            gid = other["gid"]
+            gid = other.gid
             gu, gv = gid[demoted], gid[promoted]
             if gu == gv:
-                continue  # same group: every favored count and pset is unchanged
+                continue  # same group: every favored count and position is unchanged
             # The demoted member passes below the span candidates and the
             # promoted one, handing one favored mixed pair each to the
             # promoted member's group; each between-candidate's own group
             # gains one pair from the demotion and loses one from the
             # promotion, netting zero.
-            favored = other["favored"]
-            favored[gu] -= span
-            favored[gv] += span
-            opsets = other["psets"]
-            opsets[gu].remove(high_pos)
-            opsets[gu].add(low_pos)
-            opsets[gv].remove(low_pos)
-            opsets[gv].add(high_pos)
+            other.favored[gu] -= span
+            other.favored[gv] += span
+            members = other.positions[gu]
+            del members[bisect_left(members, p0)]
+            insort(members, s0)
+            members = other.positions[gv]
+            del members[bisect_left(members, s0)]
+            insort(members, p0)
+            dirty.append(other)
 
         order[p0], order[s0] = promoted, demoted
-        pos[demoted], pos[promoted] = s0, p0
         iterations += 1
         if collect_swaps:
             swaps.append(
                 (
                     table.candidate_ids[demoted],
                     table.candidate_ids[promoted],
-                    ent["entity"].name,
+                    ent.entity.name,
                 )
             )
 

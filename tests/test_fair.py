@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fairconsensus import (
     BudgetExceeded,
@@ -13,19 +17,23 @@ from fairconsensus import (
     Infeasible,
     Ranking,
     RankingSet,
+    borda_streamed,
     brute_force_fair_kemeny,
     build_group_index,
     build_precedence_matrix,
     evaluate_fairness,
     fair_kemeny,
     fair_pipeline,
+    iter_ranking_batches,
     kemeny_exact,
+    mixed_block_modal,
     pd_loss,
     ranking_objective,
     repair_ranking,
 )
 from fairconsensus.errors import RepairStalled
 from fairconsensus.fair import enabled_entities
+from fairconsensus.metrics import entity_spread
 from fairconsensus.model import ALL
 
 import helpers
@@ -89,6 +97,188 @@ class TestRepair:
         spec = FairnessSpec(delta_default=Fraction(0), intersection_attrs=None)
         with pytest.raises(RepairStalled):
             repair_ranking(rankings.rankings[0], spec, index)
+
+    @pytest.mark.parametrize("max_swaps", [-1, 1.5, True, False, "3"])
+    def test_rejects_bad_max_swaps(self, max_swaps):
+        table = helpers.grid_table(8, 2, 2)
+        spec = FairnessSpec(delta_default=Fraction(1))
+        index = spec.build_index(table)
+        ranking = Ranking(table.candidate_ids)
+        # rejected up front, on an already-fair input as on an unfair one
+        with pytest.raises(ValueError, match="max_swaps"):
+            repair_ranking(ranking, spec, index, max_swaps=max_swaps)
+        with pytest.raises(ValueError, match="max_swaps"):
+            _walk_outcome(*_tied_spread_case(), max_swaps=max_swaps)
+
+    def test_zero_max_swaps_is_legal(self):
+        table = helpers.grid_table(8, 2, 2)
+        spec = FairnessSpec(delta_default=Fraction(1))
+        index = spec.build_index(table)
+        ranking = Ranking(table.candidate_ids)
+        repaired, trace = repair_ranking(ranking, spec, index, max_swaps=0)
+        assert repaired == ranking and trace.iterations == 0
+        with pytest.raises(RepairStalled, match="within 0 swaps"):
+            _walk_outcome(*_tied_spread_case(), max_swaps=0)
+
+    @given(data=st.data())
+    def test_property_fair_or_stalled(self, data):
+        n = data.draw(st.integers(4, 40), label="n")
+        table = helpers.grid_table(
+            n, data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3))
+        )
+        delta = data.draw(
+            st.fractions(min_value=0, max_value=1, max_denominator=20), label="delta"
+        )
+        spec = FairnessSpec(
+            delta_default=delta,
+            intersection_attrs=ALL if data.draw(st.booleans()) else None,
+        )
+        index = spec.build_index(table)
+        ranking = Ranking(
+            tuple(data.draw(st.permutations(table.candidate_ids), label="ranking"))
+        )
+        try:
+            repaired, trace = repair_ranking(ranking, spec, index)
+        except RepairStalled:
+            return
+        order = repaired.to_indices(table)
+        for entity, threshold in enabled_entities(spec, index):
+            num, den, _, _ = entity_spread(order, entity)
+            assert Fraction(num, den) <= threshold
+        assert trace.final_report.satisfied
+        assert trace.iterations == len(trace.swaps)
+        replay = list(ranking.order)
+        for demoted, promoted, _entity in trace.swaps:
+            i, j = replay.index(demoted), replay.index(promoted)
+            assert i < j, "a swap always promotes a candidate from below"
+            replay[i], replay[j] = replay[j], replay[i]
+        assert tuple(replay) == repaired.order
+
+
+def _walk_outcome(ranking, spec, index, **options):
+    """What the repair walk did: output order, every swap and the count."""
+    repaired, trace = repair_ranking(ranking, spec, index, **options)
+    return repaired.order, trace.swaps, trace.iterations
+
+
+def _sha(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _tied_spread_case():
+    """A 2x2 grid ranked symmetrically in race and gender, intersection off.
+
+    Race and gender start with equal violated spreads, so the walk must
+    order tied entities by declared priority.
+    """
+    table = helpers.grid_table(16, 2, 2)
+    cells: dict[tuple[str, ...], list[str]] = {}
+    for cid, row in zip(table.candidate_ids, table.values):
+        cells.setdefault(row, []).append(cid)
+    # r0/g1 and r1/g0 interleave as abba abba: equal position sums
+    a, b = cells[("r0", "g1")], cells[("r1", "g0")]
+    mixed = [a[0], b[0], b[1], a[1], a[2], b[2], b[3], a[3]]
+    order = cells[("r0", "g0")] + mixed + cells[("r1", "g1")]
+    spec = FairnessSpec(delta_default=Fraction(1, 10), intersection_attrs=None)
+    return Ranking(tuple(order)), spec, spec.build_index(table)
+
+
+def _stall_point(ranking, spec, index) -> tuple[int, str]:
+    """Swaps made before the walk stalls, found by raising ``max_swaps``."""
+    for cap in range(2 * len(ranking.order) ** 2 + 1):
+        try:
+            repair_ranking(ranking, spec, index, max_swaps=cap)
+        except RepairStalled as exc:
+            if "within" not in str(exc):
+                return cap - 1, str(exc)
+        else:
+            raise AssertionError("the instance was expected to stall")
+    raise AssertionError("no stall point below the default cap")
+
+
+class TestRepairWalkPinned:
+    """The walk itself, not just its postcondition: the output order, every
+    swap and the iteration count are pinned by sha256. The digests were
+    recorded with the Fenwick-tree walk this module used before sorted
+    position lists replaced it."""
+
+    def test_wide_shape(self):
+        table = helpers.grid_table(400, 2, 2)
+        spec = FairnessSpec(delta_default=Fraction(33, 100))
+        index = spec.build_index(table)
+        modal = mixed_block_modal(index, 0.5)
+        consensus = borda_streamed(
+            iter_ranking_batches(modal.to_indices(table), 1.0, 20, seed=5, batch_size=20),
+            table,
+        )
+        outcome = _walk_outcome(consensus, spec, index)
+        assert outcome[2] == 8189
+        assert _sha(outcome) == WIDE_DIGEST
+
+    def test_attributes_without_intersection(self):
+        # race and gender only: the walk scans for a swap pair that agrees
+        # on the other attribute, and revisits are vetoed along the way
+        table = helpers.grid_table(48, 3, 2)
+        spec = FairnessSpec(delta_default=Fraction(1, 20), intersection_attrs=None)
+        index = spec.build_index(table)
+        rng = random.Random(11)
+        outcomes = []
+        for _ in range(5):
+            order = list(table.candidate_ids)
+            rng.shuffle(order)
+            outcomes.append(_walk_outcome(Ranking(tuple(order)), spec, index))
+        assert sum(o[2] for o in outcomes) == 387
+        assert _sha(outcomes) == NO_INTERSECTION_DIGEST
+
+    def test_tied_spreads(self):
+        ranking, spec, index = _tied_spread_case()
+        race, gender = (e for e, _ in enabled_entities(spec, index))
+        order = ranking.to_indices(index.table)
+        num, den, _, _ = entity_spread(order, race)
+        assert entity_spread(order, gender)[:2] == (num, den)
+        assert Fraction(num, den) > spec.delta_default
+        outcome = _walk_outcome(ranking, spec, index)
+        assert outcome[1][0][2] == "race"  # declared order breaks the tie
+        assert outcome[2] == 34
+        assert _sha(outcome) == TIED_DIGEST
+
+    def test_odd_parity_stall_points(self):
+        table, _ = odd_parity_instance()
+        spec = FairnessSpec(delta_default=Fraction(0), intersection_attrs=None)
+        index = spec.build_index(table)
+        points = [
+            _stall_point(Ranking(perm), spec, index)
+            for perm in permutations(table.candidate_ids)
+        ]
+        assert all("cycled" in message for _, message in points)
+        assert _sha(points) == ODD_PARITY_DIGEST
+
+    def test_small_random_instances(self):
+        # tight thresholds on small grids: some walks converge after a
+        # vetoed revisit, others stall
+        rng = random.Random(7)
+        outcomes = []
+        for _ in range(120):
+            table = helpers.grid_table(rng.randint(4, 12), rng.randint(2, 3), 2)
+            spec = FairnessSpec(
+                delta_default=Fraction(rng.randint(0, 6), 20),
+                intersection_attrs=rng.choice([None, ALL]),
+            )
+            index = spec.build_index(table)
+            order = list(table.candidate_ids)
+            rng.shuffle(order)
+            try:
+                outcomes.append(_walk_outcome(Ranking(tuple(order)), spec, index))
+            except RepairStalled as exc:
+                outcomes.append(str(exc))
+        assert _sha(outcomes) == SMALL_RANDOM_DIGEST
+
+
+WIDE_DIGEST = "3e18f3ac278968e25585cc532a8d575224b932fe0e3ba961d33f669b5ba977a1"
+NO_INTERSECTION_DIGEST = "0db4f6a81e83e6ef032e5c7f19f0e10902f70094dba165111b8e9dba02ec7551"
+TIED_DIGEST = "72cd2cf7128ec278a97d98b45f687d596ef3bdd85c1e8afe545c4a6ba91f940a"
+ODD_PARITY_DIGEST = "f3a2f91c035672597a3748b728a3062d255ae1405760494d884151c0b3309588"
+SMALL_RANDOM_DIGEST = "39477806612a5c9e65c764305886267cc449a55228263d66d138463e5e7140fa"
 
 
 class TestFairKemeny:
