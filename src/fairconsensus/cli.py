@@ -30,15 +30,20 @@ as one comma-separated string, as ``--intersection`` takes them;
 ``attributes`` is ``"all"`` (default) or ``"none"``; ``scenario_seed``
 (integer, default ``seed``); ``budget_ms`` and ``max_nodes`` (integers >=
 0); ``max_exact_n`` (integer); ``out`` (used without ``--out``). Integer
-keys take JSON integers or decimal strings. A missing or malformed value
-exits 2 before anything is written.
+keys take JSON integers or decimal strings, not booleans. No entry of
+``methods``, ``thetas`` (as rendered) or ``deltas`` may repeat. A missing
+or malformed value exits 2 before anything is written.
 
 Each (theta, trial) samples one instance that every method and threshold
 shares. The unaware methods (``kemeny``, ``borda``, ``copeland``,
 ``schulze``, ``pick-fairest``, ``kemeny-weighted``) never read a threshold,
-so each is solved once per instance, in its first cell; its cells at the
-other thresholds reuse that solve, and their ``timings.csv`` millis cover
-only scoring.
+so each is solved once per instance, in the first cell that needs it; its
+cells at the other thresholds reuse that solve, and their ``timings.csv``
+millis cover only scoring. The repair pipelines (``fair-borda``,
+``fair-copeland``, ``fair-schulze``, ``correct-pick``) repair their
+instance's shared Borda, Copeland, Schulze or pick-fairest ranking, so
+their millis cover only the repair and its scoring (plus that ranking's
+solve in the first cell that needs it).
 
 Exit codes: 0 success; 2 unusable input (parse or validation failure, a
 file that is not UTF-8, unknown flag values, malformed
@@ -85,7 +90,8 @@ from .errors import (
     RepairStalled,
     ScenarioUnreachable,
 )
-from .fair import fair_kemeny, fair_pipeline
+from .fair import fair_kemeny, repair_ranking
+from .fair import fair_pipeline  # noqa: F401  (not called; perfbench's tracer wraps it)
 from .mallows import (
     MallowsConfig,
     ScenarioTargets,
@@ -136,6 +142,13 @@ _PIPELINE_BASE = {
     "fair-copeland": "copeland",
     "fair-schulze": "schulze",
     "correct-pick": "pick-fairest",
+}
+
+#: The unaware method whose ``pd_loss`` prices each fair method's fairness.
+_PRICED_AGAINST = {
+    **_PIPELINE_BASE,
+    "fair-kemeny": "kemeny",
+    "kemeny-weighted": "kemeny",
 }
 
 _DELTA_RE = re.compile(r"^[0-9]+(\.[0-9]{1,6})?$")
@@ -196,7 +209,7 @@ def parse_delta(text: str, what: str = "delta") -> Fraction:
 def parse_int(value, what: str, minimum: int | None = None) -> int:
     """An integer given as an int or a decimal string, at least ``minimum``."""
     try:
-        if not isinstance(value, (int, str)):
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
             raise ValueError
         number = int(value)
     except ValueError:
@@ -209,6 +222,8 @@ def parse_int(value, what: str, minimum: int | None = None) -> int:
 def parse_theta(value, what: str = "theta") -> float:
     """A Mallows dispersion: a finite number >= 0."""
     try:
+        if isinstance(value, bool):
+            raise ValueError
         theta = float(value)
     except (TypeError, ValueError):
         theta = math.nan
@@ -578,24 +593,19 @@ def _solve(
     """Run one method on one instance, for both aggregate and experiment.
 
     ``spec`` holds the thresholds of the fair methods and must share the
-    instance's scope; the unaware methods come from the instance's memo.
+    instance's scope. Every unaware ranking comes from the instance's memo:
+    the unaware methods return it, and the repair pipelines repair it.
     ``warm`` seeds the fair-kemeny search (other methods ignore it).
-    ``want_pof`` prices fairness for fair-kemeny and kemeny-weighted
-    against the unaware Kemeny solution; the repair pipelines always do.
+    Fairness is priced against the unaware method in ``_PRICED_AGAINST``:
+    always for the repair pipelines, and for fair-kemeny and
+    kemeny-weighted only with ``want_pof``.
     """
     rankings, index = instance.rankings, instance.index
     if method in _PIPELINE_BASE:
-        result = fair_pipeline(
-            _PIPELINE_BASE[method], rankings, spec, index, collect_swaps=False
-        )
-        return _Solved(
-            result.ranking,
-            result.pd_loss_fair,
-            swaps=result.trace.iterations,
-            pd_loss_unaware=result.pd_loss_unaware,
-            price_of_fairness=result.price_of_fairness,
-        )
-    if method == "fair-kemeny":
+        unaware = instance.unaware(_PIPELINE_BASE[method]).ranking
+        repaired, trace = repair_ranking(unaware, spec, index, collect_swaps=False)
+        solved = _Solved(repaired, pd_loss(rankings, repaired), swaps=trace.iterations)
+    elif method == "fair-kemeny":
         solution = fair_kemeny(
             instance.matrix,
             spec,
@@ -608,8 +618,8 @@ def _solve(
         solved = _searched(solution, rankings)
     else:
         solved = instance.unaware(method)
-    if want_pof and method in ("fair-kemeny", "kemeny-weighted"):
-        unaware_loss = instance.unaware("kemeny").pd_loss
+    if method in _PIPELINE_BASE or (want_pof and method in _PRICED_AGAINST):
+        unaware_loss = instance.unaware(_PRICED_AGAINST[method]).pd_loss
         solved = replace(
             solved,
             pd_loss_unaware=unaware_loss,
@@ -902,6 +912,14 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     thetas = grid("thetas")
     theta_values = [parse_theta(theta) for theta in thetas]
     delta_texts = [_config_delta_text(d) for d in grid("deltas")]
+    # grid entries key the summary rows, so a repeat would pool two cells
+    for key, texts in (
+        ("methods", methods),
+        ("thetas", [str(theta) for theta in thetas]),
+        ("deltas", delta_texts),
+    ):
+        if len(set(texts)) < len(texts):
+            raise ParseError(f"{config_path}: {key!r} repeats an entry: {texts!r}")
     trials = parse_int(require("trials"), "trials", 1)
     num_rankings = parse_int(require("num_rankings"), "num_rankings", 1)
     base_seed = parse_int(require("seed"), "seed")

@@ -82,7 +82,7 @@ def _uniform_matrix(seed: int, start_index: int, count: int, width: int) -> np.n
     """Uniforms in [0, 1), step-major: column k is ranking start+k's substream."""
     indices = np.arange(start_index, start_index + count, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        sub = np.uint64(seed) + np.uint64(_GAMMA) * (indices + np.uint64(1))
+        sub = np.uint64(seed & _MASK) + np.uint64(_GAMMA) * (indices + np.uint64(1))
         sub = _mix64_np(sub)
         steps = np.uint64(_GAMMA) * np.arange(1, width + 1, dtype=np.uint64)
         words = _mix64_np(steps[:, None] + sub[None, :])

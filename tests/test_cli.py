@@ -497,7 +497,11 @@ class TestExperiment:
         )
 
     def test_unaware_methods_solve_once_per_instance(self, grid_case, monkeypatch):
-        """No unaware method reads a threshold: one solve per (theta, trial)."""
+        """No unaware method reads a threshold: one solve per (theta, trial).
+
+        The repair pipelines repair those same solves, so they build no
+        unaware ranking or precedence matrix of their own.
+        """
         calls = Counter()
 
         def counting(name):
@@ -509,20 +513,28 @@ class TestExperiment:
 
             return counted
 
-        for name in ("kemeny_weighted", "pick_fairest"):
+        counted = (
+            "kemeny_weighted", "pick_fairest", "borda", "copeland", "schulze",
+            "build_precedence_matrix",
+        )
+        for name in counted:
             monkeypatch.setattr(cli, name, counting(name))
+        methods = [
+            "pick-fairest", "kemeny-weighted",
+            "fair-borda", "fair-copeland", "fair-schulze", "correct-pick",
+        ]
         config = {
             **SMALL_EXPERIMENT,
-            "methods": ["pick-fairest", "kemeny-weighted"],
+            "methods": methods,
             "thetas": [0.3, 0.9],
             "deltas": ["0.1", "0.3"],
             "trials": 2,
         }
         Path("config.json").write_text(json.dumps(config))
         assert main(EXPERIMENT) == 0
-        assert calls == {"kemeny_weighted": 4, "pick_fairest": 4}
+        assert calls == {name: 4 for name in counted}
         rows = list(csv.DictReader(open("out/runs.csv")))
-        assert len(rows) == 2 * 2 * 2 * 2
+        assert len(rows) == len(methods) * 2 * 2 * 2
 
 
 @pytest.fixture
@@ -596,6 +608,21 @@ class TestInputBoundary:
             pytest.param(
                 EXPERIMENT, {}, {"intersection": "race,height"}, id="config-intersection"
             ),
+            pytest.param(EXPERIMENT, {}, {"trials": True}, id="config-trials-bool"),
+            pytest.param(
+                EXPERIMENT, {}, {"num_rankings": True}, id="config-num-rankings-bool"
+            ),
+            pytest.param(EXPERIMENT, {}, {"thetas": [True]}, id="config-thetas-bool"),
+            pytest.param(
+                EXPERIMENT, {}, {"deltas": ["0.2", "0.2"]}, id="config-deltas-repeat"
+            ),
+            pytest.param(
+                EXPERIMENT, {}, {"thetas": [0.5, "0.5"]}, id="config-thetas-repeat"
+            ),
+            pytest.param(
+                EXPERIMENT, {}, {"methods": ["borda", "fair-borda", "borda"]},
+                id="config-methods-repeat",
+            ),
         ],
     )
     def test_malformed_input_exits_2(
@@ -609,6 +636,15 @@ class TestInputBoundary:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not Path("out").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**70)])
+    def test_generate_takes_any_integer_seed(self, grid_case, seed):
+        argv = [*GENERATE, "--theta", "0.5", "--num-rankings", "3"]
+        argv[argv.index("--seed") + 1] = seed
+        assert main(argv) == 0
+        rows = list(csv.reader(open("out/rankings.csv")))
+        assert len(rows) == 3
+        assert all(sorted(row) == sorted(grid_case.candidate_ids) for row in rows)
 
     @pytest.mark.parametrize(
         "argv, name, content",

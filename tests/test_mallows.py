@@ -208,7 +208,7 @@ class TestSamplerStreams:
             st.just(40.0),
         ),
         num_rankings=st.integers(0, 60),
-        seed=st.integers(0, 2**64 - 1),
+        seed=st.integers(-(2**70), 2**70),
         batch_size=st.integers(1, 50),
         data=st.data(),
     )
