@@ -8,31 +8,34 @@ ranking per row as candidate ids from first place to last; every row must
 be a permutation of the candidate table.
 
 Reports carry every rational both exactly (numerator/denominator) and as a
-6-digit decimal. All output files are written atomically (temp file plus
-rename), so a failing command leaves no partial outputs. Wall-clock timings
-go to a separate ``timing`` sidecar so the data files are byte-identical
-across reruns with the same inputs and seeds.
+6-digit decimal. Each command builds all of its files in memory; ``main``
+then adds the ``timing.json`` wall-clock sidecar and writes them atomically
+(temp file plus rename), so a failing command leaves no partial outputs and
+the data files are byte-identical across reruns with the same inputs and
+seeds.
 
 Experiment config
 -----------------
-A JSON object; paths are relative to the config file. Required keys:
+A JSON object; ``candidates`` and ``modal`` are relative to the config
+file, ``out`` to the working directory. Required keys:
 ``candidates`` (CSV path); ``methods`` (non-empty list of method names);
 ``thetas`` (non-empty list of finite dispersions >= 0); ``deltas``
 (non-empty list of thresholds, decimal strings or numbers in [0, 1] with at
 most 6 fractional digits); ``trials`` and ``num_rankings`` (integers >= 1);
 ``seed`` (integer); and exactly one of ``modal`` (CSV holding one ranking)
 or ``scenario``. A scenario is a preset name (``low-fair``,
-``medium-fair``, ``high-fair``, windowed by ``tolerance``, default
-``"0.05"``) or an object ``{"arp": {attr: [target, tolerance]}, "irp":
-[target, tolerance]}``. Optional keys: ``intersection`` is ``"all"``
+``medium-fair``, ``high-fair``, windowed by a positive ``tolerance``,
+default ``"0.05"``) or an object ``{"arp": {attr: [target, tolerance]},
+"irp": [target, tolerance]}``. Optional keys: ``intersection`` is ``"all"``
 (default), ``"none"`` or null, a list of attribute names, or the same names
 as one comma-separated string, as ``--intersection`` takes them;
 ``attributes`` is ``"all"`` (default) or ``"none"``; ``scenario_seed``
 (integer, default ``seed``); ``budget_ms`` and ``max_nodes`` (integers >=
-0); ``max_exact_n`` (integer); ``out`` (used without ``--out``). Integer
-keys take JSON integers or decimal strings, not booleans. No entry of
-``methods``, ``thetas`` (as rendered) or ``deltas`` may repeat. A missing
-or malformed value exits 2 before anything is written.
+0); ``max_exact_n`` (integer); ``out`` (a path string, used without
+``--out``). Integer keys take JSON integers or decimal strings, not
+booleans. No entry of ``methods``, ``thetas`` (as rendered) or ``deltas``
+may repeat. A missing or malformed value exits 2 before anything is
+written.
 
 Each (theta, trial) samples one instance that every method and threshold
 shares. The unaware methods (``kemeny``, ``borda``, ``copeland``,
@@ -68,8 +71,9 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .consensus import (
     DEFAULT_MAX_EXACT_N,
@@ -112,7 +116,6 @@ from .model import (
     GroupIndex,
     Ranking,
     RankingSet,
-    build_group_index,
     build_precedence_matrix,
 )
 
@@ -150,6 +153,13 @@ _PRICED_AGAINST = {
     "fair-kemeny": "kemeny",
     "kemeny-weighted": "kemeny",
 }
+
+#: Scores every attribute and the full intersection; its threshold is unread.
+_REPORT_SPEC = FairnessSpec(delta_default=Fraction(1), intersection_attrs=ALL)
+
+#: What a command hands ``main``: its output directory, every file it
+#: writes (name to text) and the line to print once they are written.
+_Outputs = tuple[str, dict[str, str], str]
 
 _DELTA_RE = re.compile(r"^[0-9]+(\.[0-9]{1,6})?$")
 
@@ -342,48 +352,55 @@ def read_rankings(path: str | Path, table: CandidateTable) -> RankingSet:
                     f"{path}: row {row_no} names unknown candidate {cid!r}"
                 )
             if cid in seen:
-                raise ParseError(
-                    f"{path}: row {row_no} repeats candidate {cid!r}"
-                )
+                raise ParseError(f"{path}: row {row_no} repeats candidate {cid!r}")
             seen.add(cid)
         missing = expected - seen
         if missing:
-            raise ParseError(
-                f"{path}: row {row_no} omits candidate "
-                f"{min(missing)!r}"
-            )
+            raise ParseError(f"{path}: row {row_no} omits candidate {min(missing)!r}")
         rankings.append(Ranking(tuple(row)))
     if not rankings:
         raise ParseError(f"{path}: no rankings found")
     return RankingSet(tuple(rankings))
 
 
-def rankings_csv_text(rankings: Sequence[Ranking]) -> str:
+def read_modal(path: str | Path, table: CandidateTable) -> Ranking:
+    """A modal rankings CSV: exactly one ranking of the table."""
+    rows = read_rankings(path, table)
+    if rows.size != 1:
+        raise ParseError(
+            f"{path}: modal file must hold exactly one ranking, found {rows.size}"
+        )
+    return rows.rankings[0]
+
+
+def csv_text(rows: Iterable[Sequence], header: Sequence[str] | None = None) -> str:
+    """CSV text with ``\\n`` line ends: the header, if any, then the rows."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    for ranking in rankings:
-        writer.writerow(ranking.order)
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
-def _atomic_write(path: Path, content: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def rankings_csv_text(rankings: Sequence[Ranking]) -> str:
+    return csv_text(ranking.order for ranking in rankings)
 
 
 def publish(out_dir: str | Path, files: Mapping[str, str]) -> None:
-    """Write a set of finished files; nothing lands before all are built."""
-    out = Path(out_dir)
+    """Write finished files, each atomically (temp file plus rename)."""
     for name, content in files.items():
-        _atomic_write(out / name, content)
+        path = Path(out_dir) / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{name}.")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(content)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +645,7 @@ def _solve(
     return solved
 
 
-def cmd_aggregate(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_aggregate(args: argparse.Namespace) -> _Outputs:
     table = read_candidates(args.candidates)
     rankings = read_rankings(args.rankings, table)
     spec = build_fairness_spec(args, table)
@@ -662,29 +678,22 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
             "rankings_sha256": sha256_file(args.rankings),
         },
     }
-    millis = int((time.perf_counter() - started) * 1000)
-    publish(
-        args.out,
-        {
-            "consensus.csv": rankings_csv_text([consensus]),
-            "report.json": json_text(payload),
-            "timing.json": json_text({"millis": millis}),
-        },
-    )
-    print(
+    files = {
+        "consensus.csv": rankings_csv_text([consensus]),
+        "report.json": json_text(payload),
+    }
+    return args.out, files, (
         f"{args.method}: consensus over {table.n} candidates written to "
         f"{args.out} (satisfied={report.satisfied}, "
         f"pd_loss={decimal_string(solved.pd_loss)})"
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # metrics
 
 
-def cmd_metrics(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_metrics(args: argparse.Namespace) -> _Outputs:
     table = read_candidates(args.candidates)
     base = read_rankings(args.rankings, table)
     spec = build_fairness_spec(args, table)
@@ -724,10 +733,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     header += [f"fpr:{name}={label}" for name, label in group_columns]
     header += [f"arp:{entity.name}" for entity in index.attribute_entities]
     header += ["irp", "pd_loss"]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(csv_rows)
 
     payload = {
         "delta": fairness_spec_json(spec),
@@ -738,90 +743,72 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         },
         "rankings": entries,
     }
-    millis = int((time.perf_counter() - started) * 1000)
-    publish(
-        args.out,
-        {
-            "metrics.csv": buffer.getvalue(),
-            "metrics.json": json_text(payload),
-            "timing.json": json_text({"millis": millis}),
-        },
+    files = {
+        "metrics.csv": csv_text(csv_rows, header),
+        "metrics.json": json_text(payload),
+    }
+    return args.out, files, (
+        f"scored {len(csv_rows)} rankings; report written to {args.out}"
     )
-    print(f"scored {len(csv_rows)} rankings; report written to {args.out}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # generate
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def preset_targets(
+    name: str, tolerance: str, table: CandidateTable, what: str
+) -> ScenarioTargets:
+    """A preset scenario's targets, windowed by a positive ``tolerance``."""
+    window = parse_delta(tolerance, what)
+    if window == 0:
+        raise ParseError(f"{what} must be positive")
+    try:
+        return scenario_targets(name, table.attributes, window)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def cmd_generate(args: argparse.Namespace) -> _Outputs:
     table = read_candidates(args.candidates)
     if (args.modal is None) == (args.scenario is None):
         raise ParseError("exactly one of --modal and --scenario is required")
     theta = parse_theta(args.theta, "--theta")
     num_rankings = parse_int(args.num_rankings, "--num-rankings", 1)
-    index = None
-    targets = None
+    files = {}
     if args.modal is not None:
-        rows = read_rankings(args.modal, table)
-        if rows.size != 1:
-            raise ParseError(
-                f"{args.modal}: modal file must hold exactly one ranking, "
-                f"found {rows.size}"
-            )
-        modal = rows.rankings[0]
+        modal = read_modal(args.modal, table)
     else:
-        index = build_group_index(table, ALL)
-        tolerance = parse_delta(args.tolerance, "--tolerance")
-        if tolerance == 0:
-            raise ParseError("--tolerance must be positive")
-        targets = scenario_targets(args.scenario, table.attributes, tolerance)
+        index = _REPORT_SPEC.build_index(table)
+        targets = preset_targets(args.scenario, args.tolerance, table, "--tolerance")
         modal = build_scenario(index, targets, args.seed)
 
-    config = MallowsConfig(modal, theta, num_rankings, args.seed)
-    sampled = sample_mallows(config)
-    files = {"rankings.csv": rankings_csv_text(sampled.rankings)}
-    if args.scenario is not None:
-        report_spec = FairnessSpec(delta_default=Fraction(1), intersection_attrs=ALL)
-        modal_report = evaluate_fairness(modal, report_spec, index)
+        def window(pair: tuple[Fraction, Fraction]) -> dict:
+            return dict(zip(("target", "tolerance"), map(fraction_json, pair)))
+
         files["modal.csv"] = rankings_csv_text([modal])
         files["modal_report.json"] = json_text(
             {
                 "scenario": args.scenario,
                 "targets": {
-                    "arp": {
-                        name: {
-                            "target": fraction_json(t),
-                            "tolerance": fraction_json(tol),
-                        }
-                        for name, (t, tol) in targets.arp.items()
-                    },
-                    "irp": (
-                        None
-                        if targets.irp is None
-                        else {
-                            "target": fraction_json(targets.irp[0]),
-                            "tolerance": fraction_json(targets.irp[1]),
-                        }
-                    ),
+                    "arp": {name: window(pair) for name, pair in targets.arp.items()},
+                    "irp": window(targets.irp),
                 },
                 "theta": args.theta,
                 "num_rankings": args.num_rankings,
                 "seed": args.seed,
-                "fairness": fairness_report_json(modal_report),
+                "fairness": fairness_report_json(
+                    evaluate_fairness(modal, _REPORT_SPEC, index)
+                ),
                 "inputs": {"candidates_sha256": sha256_file(args.candidates)},
             }
         )
-    millis = int((time.perf_counter() - started) * 1000)
-    files["timing.json"] = json_text({"millis": millis})
-    publish(args.out, files)
-    print(
+    sampled = sample_mallows(MallowsConfig(modal, theta, num_rankings, args.seed))
+    files["rankings.csv"] = rankings_csv_text(sampled.rankings)
+    return args.out, files, (
         f"generated {args.num_rankings} rankings over {table.n} candidates "
         f"(theta={args.theta}, seed={args.seed}) in {args.out}"
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -838,14 +825,9 @@ def _config_delta_text(value) -> str:
 
 def _experiment_targets(config: dict, table: CandidateTable) -> ScenarioTargets:
     scenario = config["scenario"]
-    tolerance = parse_delta(
-        _config_delta_text(config.get("tolerance", "0.05")), "tolerance"
-    )
     if isinstance(scenario, str):
-        try:
-            return scenario_targets(scenario, table.attributes, tolerance)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+        tolerance = _config_delta_text(config.get("tolerance", "0.05"))
+        return preset_targets(scenario, tolerance, table, "tolerance")
     if not isinstance(scenario, dict) or not isinstance(scenario.get("arp", {}), dict):
         raise ParseError("scenario must be a preset name or a target object")
 
@@ -873,8 +855,7 @@ _CELL_STATUS: dict[type, str] = {
 }
 
 
-def cmd_experiment(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_experiment(args: argparse.Namespace) -> _Outputs:
     config_path = Path(args.config)
     try:
         config = json.loads(_read_text(config_path))
@@ -900,9 +881,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             raise ParseError(f"{config_path}: {key!r} must be a path, got {value!r}")
         return config_path.parent / value
 
-    out_dir = args.out if args.out else config.get("out")
-    if not out_dir:
-        raise ParseError("output directory required (--out or config 'out')")
+    out_dir = args.out or config.get("out")
+    if not out_dir or not isinstance(out_dir, str):
+        raise ParseError(f"--out or a config 'out' path is required, got {out_dir!r}")
 
     table = read_candidates(path("candidates"))
     methods = grid("methods")
@@ -941,17 +922,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         for text in delta_texts
     ]
 
-    report_spec = FairnessSpec(delta_default=Fraction(1), intersection_attrs=ALL)
-    report_index = report_spec.build_index(table)
+    report_index = _REPORT_SPEC.build_index(table)
     solver_index = scope_spec.build_index(table)
 
     if "modal" in config and config.get("scenario") is not None:
         raise ParseError(f"{config_path}: give either 'modal' or 'scenario'")
     if "modal" in config:
-        rows = read_rankings(path("modal"), table)
-        if rows.size != 1:
-            raise ParseError("modal file must hold exactly one ranking")
-        modal = rows.rankings[0]
+        modal = read_modal(path("modal"), table)
     else:
         require("scenario")
         modal = build_scenario(
@@ -972,114 +949,83 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         [instance(ti, trial) for trial in range(trials)] for ti in range(len(thetas))
     ]
 
-    attr_names = list(table.attributes)
-    header = (
-        ["method", "theta", "delta", "trial", "seed", "status"]
-        + [f"arp:{name}" for name in attr_names]
-        + ["irp", "pd_loss", "pof", "swaps"]
-    )
-    width = len(attr_names) + 4  # arp per attribute, irp, pd_loss, pof, swaps
-    # (row, timing row) per (method, theta, delta, trial) position
-    written: dict[tuple[int, int, int, int], tuple[list[str], list[str]]] = {}
-    # the value lists of a (method, theta, delta) group's solved cells
-    cells: dict[tuple[str, str, str], list[list]] = {}
+    columns = [f"arp:{name}" for name in table.attributes]
+    columns += ["irp", "pd_loss", "pof", "swaps"]
+    # (status, values, millis) per (method, theta, delta, trial) position
+    cells: dict[tuple[int, int, int, int], tuple[str, list, int]] = {}
     # Thresholds are solved tightest first: a ranking feasible at a tight
     # threshold stays feasible at looser ones, so each trial's result is
     # the warm start of its next looser threshold (only fair-kemeny uses
     # it), and the reported disagreement never increases as it relaxes.
     ascending = sorted(range(len(specs)), key=lambda di: specs[di].delta_default)
-    for mi, method in enumerate(methods):
-        for ti, theta in enumerate(thetas):
-            warm: dict[int, Ranking] = {}
-            for di in ascending:
-                for trial, instance in enumerate(instances[ti]):
-                    cell_start = time.perf_counter()
-                    status, solved = "ok", None
-                    try:
-                        solved = _solve(
-                            method,
-                            instance,
-                            specs[di],
-                            want_pof=True,
-                            warm=warm.get(trial),
-                        )
-                    except tuple(_CELL_STATUS) as exc:
-                        status = _CELL_STATUS[type(exc)]
-                    else:
-                        warm[trial] = solved.ranking
-                    cell_millis = int((time.perf_counter() - cell_start) * 1000)
+    for (mi, method), ti in product(enumerate(methods), range(len(thetas))):
+        warm: dict[int, Ranking] = {}
+        for di in ascending:
+            for trial, instance in enumerate(instances[ti]):
+                cell_start = time.perf_counter()
+                status, values = "ok", [None] * len(columns)
+                try:
+                    solved = _solve(
+                        method, instance, specs[di], want_pof=True, warm=warm.get(trial)
+                    )
+                except tuple(_CELL_STATUS) as exc:
+                    status = _CELL_STATUS[type(exc)]
+                else:
+                    warm[trial] = solved.ranking
+                cell_millis = int((time.perf_counter() - cell_start) * 1000)
+                if status == "ok":
+                    report = evaluate_fairness(
+                        solved.ranking, _REPORT_SPEC, report_index
+                    )
+                    values = [
+                        *(report.attribute_spreads[name] for name in table.attributes),
+                        report.intersection_spread,
+                        solved.pd_loss,
+                        solved.price_of_fairness,
+                        solved.swaps,
+                    ]
+                cells[mi, ti, di, trial] = (status, values, cell_millis)
 
-                    values: list = [None] * width
-                    if solved is not None:
-                        report = evaluate_fairness(
-                            solved.ranking, report_spec, report_index
-                        )
-                        values = [
-                            *(report.attribute_spreads[name] for name in attr_names),
-                            report.intersection_spread,
-                            solved.pd_loss,
-                            solved.price_of_fairness,
-                            solved.swaps,
-                        ]
-                        group = (method, str(theta), delta_texts[di])
-                        cells.setdefault(group, []).append(values)
-                    seed = derive_seed(base_seed, ti, trial)
-                    cell = [method, str(theta), delta_texts[di], str(trial)]
-                    row = [*cell, str(seed), status]
-                    row += [decimal_cell(value) for value in values[:-1]]
-                    row.append("" if values[-1] is None else str(values[-1]))
-                    written[mi, ti, di, trial] = (row, [*cell, str(cell_millis)])
-    rows_out = [written[key][0] for key in sorted(written)]
-    timing_rows = [written[key][1] for key in sorted(written)]
-
-    runs_buffer = io.StringIO()
-    writer = csv.writer(runs_buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows_out)
-
-    def mean(values: list) -> Fraction | None:
+    def mean(values: Sequence) -> Fraction | None:
         present = [value for value in values if value is not None]
         return sum(present, Fraction(0)) / len(present) if present else None
 
-    summary_header = (
-        ["method", "theta", "delta", "runs", "ok"]
-        + [f"mean_arp:{name}" for name in attr_names]
-        + ["mean_irp", "mean_pd_loss", "mean_pof", "mean_swaps"]
-    )
-    summary_buffer = io.StringIO()
-    writer = csv.writer(summary_buffer, lineterminator="\n")
-    writer.writerow(summary_header)
-    for method in methods:
-        for theta in thetas:
-            for delta_text in delta_texts:
-                solved_cells = cells.get((method, str(theta), delta_text), [])
-                row = [method, str(theta), delta_text, str(trials)]
-                row.append(str(len(solved_cells)))
-                for column in range(width):
-                    row.append(decimal_cell(mean([v[column] for v in solved_cells])))
-                writer.writerow(row)
+    # every file lists the grid in config order, trials innermost
+    runs, timings, summary = [], [], []
+    for mi, ti, di in product(*(range(len(axis)) for axis in (methods, thetas, specs))):
+        group = [methods[mi], str(thetas[ti]), delta_texts[di]]
+        oks = []
+        for trial in range(trials):
+            status, values, millis = cells[mi, ti, di, trial]
+            seed = derive_seed(base_seed, ti, trial)
+            runs.append([*group, str(trial), str(seed), status])
+            runs[-1] += map(decimal_cell, values[:-1])
+            runs[-1].append("" if values[-1] is None else str(values[-1]))
+            timings.append([*group, str(trial), str(millis)])
+            if status == "ok":
+                oks.append(values)
+        means = [mean(column) for column in zip(*oks)] or [None] * len(columns)
+        summary.append([*group, str(trials), str(len(oks))])
+        summary[-1] += map(decimal_cell, means)
 
-    timing_buffer = io.StringIO()
-    writer = csv.writer(timing_buffer, lineterminator="\n")
-    writer.writerow(["method", "theta", "delta", "trial", "millis"])
-    writer.writerows(timing_rows)
-
-    millis = int((time.perf_counter() - started) * 1000)
-    publish(
-        out_dir,
-        {
-            "runs.csv": runs_buffer.getvalue(),
-            "summary.csv": summary_buffer.getvalue(),
-            "modal.csv": rankings_csv_text([modal]),
-            "timings.csv": timing_buffer.getvalue(),
-            "timing.json": json_text({"millis": millis}),
-        },
+    files = {
+        "runs.csv": csv_text(
+            runs, ["method", "theta", "delta", "trial", "seed", "status", *columns]
+        ),
+        "summary.csv": csv_text(
+            summary,
+            ["method", "theta", "delta", "runs", "ok"]
+            + [f"mean_{name}" for name in columns],
+        ),
+        "modal.csv": rankings_csv_text([modal]),
+        "timings.csv": csv_text(
+            timings, ["method", "theta", "delta", "trial", "millis"]
+        ),
+    }
+    ok_count = sum(status == "ok" for status, _, _ in cells.values())
+    return out_dir, files, (
+        f"experiment: {len(runs)} runs ({ok_count} ok) written to {out_dir}"
     )
-    ok_count = sum(1 for row in rows_out if row[5] == "ok")
-    print(
-        f"experiment: {len(rows_out)} runs ({ok_count} ok) written to {out_dir}"
-    )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -1164,14 +1110,20 @@ _ERROR_CODES: tuple[tuple[type, int], ...] = (
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command, then write its files and their ``timing.json``."""
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        out_dir, files, message = args.func(args)
+        millis = int((time.perf_counter() - started) * 1000)
+        publish(out_dir, {**files, "timing.json": json_text({"millis": millis})})
     except (FairConsensusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(
             (code for kind, code in _ERROR_CODES if isinstance(exc, kind)), EXIT_PARSE
         )
+    print(message)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

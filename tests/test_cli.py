@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import shutil
+import tempfile
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fairconsensus import Ranking, cli, pd_loss
 from fairconsensus.cli import METHODS, main
@@ -500,7 +505,9 @@ class TestExperiment:
         """No unaware method reads a threshold: one solve per (theta, trial).
 
         The repair pipelines repair those same solves, so they build no
-        unaware ranking or precedence matrix of their own.
+        unaware ranking or precedence matrix of their own. The sampler, the
+        scenario build and the cell scoring are counted too: the benchmark's
+        tracer times them only through the names ``cli`` calls them by.
         """
         calls = Counter()
 
@@ -513,10 +520,11 @@ class TestExperiment:
 
             return counted
 
-        counted = (
+        per_instance = (
             "kemeny_weighted", "pick_fairest", "borda", "copeland", "schulze",
-            "build_precedence_matrix",
+            "build_precedence_matrix", "sample_mallows",
         )
+        counted = (*per_instance, "build_scenario", "evaluate_fairness")
         for name in counted:
             monkeypatch.setattr(cli, name, counting(name))
         methods = [
@@ -532,9 +540,15 @@ class TestExperiment:
         }
         Path("config.json").write_text(json.dumps(config))
         assert main(EXPERIMENT) == 0
-        assert calls == {name: 4 for name in counted}
         rows = list(csv.DictReader(open("out/runs.csv")))
         assert len(rows) == len(methods) * 2 * 2 * 2
+        ok = sum(row["status"] == "ok" for row in rows)
+        assert ok > 0
+        assert calls == {
+            **{name: 4 for name in per_instance},
+            "build_scenario": 1,
+            "evaluate_fairness": ok,
+        }
 
 
 @pytest.fixture
@@ -569,11 +583,32 @@ GENERATE = [
     "generate", "--candidates", "candidates.csv", "--modal", "modal.csv",
     "--seed", "1", "--out", "out",
 ]
+SCENARIO = [
+    "generate", "--candidates", "candidates.csv", "--scenario", "low-fair",
+    "--seed", "1", "--out", "out",
+]
 AGGREGATE = [
     "aggregate", "--method", "fair-kemeny", "--candidates", "candidates.csv",
     "--rankings", "rankings.csv", "--delta", "0.3", "--out", "out",
 ]
 EXPERIMENT = ["experiment", "--config", "config.json", "--out", "out"]
+
+#: Small JSON values for the config fuzz: integers stay small so that no
+#: draw samples a large instance, strings name no other directory, and a
+#: few strings are valid entries, so that some draws run the sweep.
+_CONFIG_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.floats(-2, 3, allow_nan=False),
+    st.text("a01,", max_size=3),
+    st.sampled_from(["0.5", "1", "borda", "fair-kemeny", "high-fair", "out"]),
+)
+CONFIG_VALUES = st.one_of(
+    _CONFIG_SCALARS,
+    st.lists(_CONFIG_SCALARS, max_size=2),
+    st.dictionaries(st.text("a0", max_size=2), _CONFIG_SCALARS, max_size=2),
+)
 
 
 class TestInputBoundary:
@@ -623,6 +658,14 @@ class TestInputBoundary:
                 EXPERIMENT, {}, {"methods": ["borda", "fair-borda", "borda"]},
                 id="config-methods-repeat",
             ),
+            pytest.param(EXPERIMENT[:3], {}, {"out": 5}, id="config-out-number"),
+            pytest.param(EXPERIMENT[:3], {}, {"out": ["out"]}, id="config-out-list"),
+            pytest.param(EXPERIMENT, {}, {"tolerance": "0"}, id="config-tolerance-0"),
+            pytest.param(
+                [*SCENARIO, "--tolerance", "0"]
+                + ["--theta", "0.5", "--num-rankings", "3"],
+                {}, None, id="generate-tolerance-0",
+            ),
         ],
     )
     def test_malformed_input_exits_2(
@@ -663,6 +706,35 @@ class TestInputBoundary:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {name}: not valid UTF-8")
         assert not Path("out").exists()
+
+    @settings(
+        max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        changes=st.dictionaries(
+            st.sampled_from([*SMALL_EXPERIMENT, "out"]), CONFIG_VALUES,
+            min_size=1, max_size=2,
+        )
+    )
+    def test_config_fuzz_exits_documented(
+        self, grid_case, tmp_path, monkeypatch, capsys, changes
+    ):
+        """Any small JSON value in one or two keys ends in a documented exit.
+
+        A replaced ``out`` is read without ``--out``. A failing run prints
+        one ``error:`` line and writes nothing.
+        """
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        shutil.copy(tmp_path / "candidates.csv", work)
+        monkeypatch.chdir(work)
+        Path("config.json").write_text(json.dumps({**SMALL_EXPERIMENT, **changes}))
+        argv = EXPERIMENT[:3] if "out" in changes else EXPERIMENT
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code in (0, 2, 3, 4, 5, 6)
+        if code:
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert sorted(os.listdir()) == ["candidates.csv", "config.json"]
 
     def test_config_intersection_string_reads_as_names(self, grid_case):
         outputs = []
@@ -722,3 +794,63 @@ def test_aggregate_matches_experiment_cells(grid_case):
         got["swaps"] = "" if report["swaps"] is None else str(report["swaps"])
         assert got == {key: rows[method][key] for key in got}, method
         assert rows[method]["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        pytest.param(
+            AGGREGATE, {"consensus.csv", "report.json"}, id="aggregate"
+        ),
+        pytest.param(
+            ["metrics", "--candidates", "candidates.csv", "--rankings",
+             "rankings.csv", "--out", "out"],
+            {"metrics.csv", "metrics.json"},
+            id="metrics",
+        ),
+        pytest.param(
+            [*GENERATE, "--theta", "0.5", "--num-rankings", "3"],
+            {"rankings.csv"},
+            id="generate-modal",
+        ),
+        pytest.param(
+            [*SCENARIO, "--theta", "0.5", "--num-rankings", "3"],
+            {"rankings.csv", "modal.csv", "modal_report.json"},
+            id="generate-scenario",
+        ),
+        pytest.param(
+            EXPERIMENT,
+            {"runs.csv", "summary.csv", "modal.csv", "timings.csv"},
+            id="experiment",
+        ),
+    ],
+)
+def test_written_files_and_timing_sidecars(grid_case, argv, files):
+    """What the golden digests leave out: the file set and both timing files."""
+    Path("config.json").write_text(
+        json.dumps(
+            {
+                **SMALL_EXPERIMENT,
+                "methods": ["fair-kemeny", "borda", "fair-borda"],
+                "thetas": [0.9, 0.3],
+                # loosest first: the cells are solved in another order
+                "deltas": ["0.3", "0", "0.1"],
+                "trials": 2,
+                "max_nodes": 50,
+            }
+        )
+    )
+    assert main(argv) == 0
+    assert sorted(os.listdir("out")) == sorted({*files, "timing.json"})
+    timing = json.loads(Path("out/timing.json").read_text())
+    assert list(timing) == ["millis"]
+    assert isinstance(timing["millis"], int) and timing["millis"] >= 0
+    if "timings.csv" in files:
+        runs = list(csv.DictReader(open("out/runs.csv")))
+        timings = list(csv.DictReader(open("out/timings.csv")))
+        key = ("method", "theta", "delta", "trial")
+        assert [[row[k] for k in key] for row in timings] == [
+            [row[k] for k in key] for row in runs
+        ]
+        assert len(runs) == 3 * 2 * 3 * 2
+        assert all(int(row["millis"]) >= 0 for row in timings)
