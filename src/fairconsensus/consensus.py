@@ -3,7 +3,11 @@
 Polynomial methods (positional points, pairwise wins, strongest paths) sit
 next to an exact Kemeny solver realized as a depth-first branch-and-bound
 over ranking prefixes. The same search engine optionally enforces fairness
-constraints; the fair front-end lives in the fair-consensus module.
+constraints; the fair front-end lives in the fair-consensus module. Under
+constraints the search carries interned group-count states down the
+prefix: the feasibility cut reads only a state's counts, so it runs once
+per distinct state, and each state memoizes where placing a candidate of
+each group signature leads.
 
 Determinism rules used throughout: candidates tie-break by ascending table
 index, children expand in ascending incremental-cost order, and the first
@@ -38,6 +42,10 @@ BUDGET_ENV_VAR = "FAIRCONSENSUS_BUDGET_MS"
 DEFAULT_MAX_EXACT_N = 25
 
 _DOMINANCE_CAP = 2_000_000  # max memoized prefix states
+# max interned group-count states per search. A dominance entry takes about
+# 120 bytes and a state at most about 3.2 kB (25 candidates in 35 groups), so
+# a full state table stays under a full dominance table's ~230 MB.
+_COUNT_STATE_CAP = 50_000
 
 
 @dataclass(frozen=True)
@@ -128,6 +136,30 @@ class _SearchAborted(Exception):
     pass
 
 
+class _CountState:
+    """Group counts after a prefix, interned, with its memoized successors.
+
+    ``counts`` lists every constraint's groups' favored mixed pairs so far,
+    then, in the same group order, each group's members not yet placed.
+    Slot ``s`` of ``next`` answers "place a candidate of group signature
+    ``s`` next": ``None`` until asked, ``False`` when the feasibility cut
+    fires, else the child state.
+    """
+
+    __slots__ = ("counts", "next")
+
+    def __init__(self, counts: tuple[int, ...], signatures: int) -> None:
+        self.counts = counts
+        self.next: list[_CountState | bool | None] = [None] * signatures
+
+
+def _check_max_nodes(max_nodes: int | None) -> None:
+    if max_nodes is not None and (
+        isinstance(max_nodes, bool) or not isinstance(max_nodes, int) or max_nodes < 0
+    ):
+        raise ValueError(f"max_nodes must be a non-negative int, got {max_nodes!r}")
+
+
 def prefix_branch_and_bound(
     wm: list[list[int]],
     *,
@@ -147,10 +179,25 @@ def prefix_branch_and_bound(
     prefix and a node is cut as soon as some spread can no longer land
     within its threshold, no matter how the remainder is ordered.
 
+    The counts live in interned *states*: each constraint's favored and
+    remaining count per group. A candidate's *signature* is its group in
+    every constraint, and a child's state follows from its parent's state
+    and the child's signature alone. The cut reads nothing but the child's
+    counts (the remaining-candidate total is their sum), so each state
+    memoizes, per signature, its successor or the cut, and the cut runs
+    once per distinct (state, signature) pair. The memo is exact: every
+    node, and the order they are visited in, are those of checking each
+    child afresh. Without constraints there is one signature and one
+    state, never cut. At most ``_COUNT_STATE_CAP`` states are stored per
+    search; past that, a new state is computed each time it is reached and
+    not stored. The table is released when the search returns.
+
     ``max_nodes`` truncates the search after a fixed number of nodes, a
     deterministic alternative to a wall-clock deadline: reruns on the same
-    input stop at the same node and return the same incumbent.
+    input stop at the same node and return the same incumbent. It must be
+    ``None`` or a non-negative ``int``.
     """
+    _check_max_nodes(max_nodes)
     n = len(wm)
     mins = [[min(wm[a][b], wm[b][a]) for b in range(n)] for a in range(n)]
     full_lb = sum(mins[a][b] for a in range(n) for b in range(a + 1, n))
@@ -162,9 +209,6 @@ def prefix_branch_and_bound(
     # of a completion depends on prefix order, not just the prefix set
     dominance: dict[int, int] | None = {} if not constraints else None
 
-    cons_gid = [c.gid for c in constraints]
-    cons_f = [[0] * len(c.sizes) for c in constraints]
-    cons_rem = [list(c.sizes) for c in constraints]
     cons_omega = [c.omegas for c in constraints]
     cons_delta = [(c.delta_num, c.delta_den) for c in constraints]
     # entities whose groups all share one mixed-pair denominator admit a
@@ -183,17 +227,31 @@ def prefix_branch_and_bound(
                 total += c.sizes[a] * c.sizes[b]
         cons_total.append(total)
 
-    same_group_everywhere: list[list[bool]] | None = None
-    if constraints:
-        same_group_everywhere = [
-            [all(g[a] == g[b] for g in cons_gid) for b in range(n)] for a in range(n)
-        ]
+    # where each constraint's groups start in a state's counts; a group's
+    # members left sit `width` after its favored pairs
+    offsets: list[int] = []
+    width = 0
+    for c in constraints:
+        offsets.append(width)
+        width += len(c.sizes)
+    # a signature is the count positions of a candidate's groups, numbered
+    # in order of first appearance: placing either of two candidates with
+    # one signature changes every count alike
+    signatures: dict[tuple[int, ...], int] = {}
+    sig = [
+        signatures.setdefault(
+            tuple(at + c.gid[cand] for at, c in zip(offsets, constraints)),
+            len(signatures),
+        )
+        for cand in range(n)
+    ]
+    sig_slots = list(signatures)
 
-    def check_constraints(rem_size: int) -> bool:
+    def check_constraints(counts: tuple[int, ...], rem_size: int) -> bool:
         """True while every constraint can still be met by some completion."""
-        for ci in range(len(cons_gid)):
-            f = cons_f[ci]
-            rem_cnt = cons_rem[ci]
+        for ci, at in enumerate(offsets):
+            f = counts[at : at + len(cons_omega[ci])]
+            rem_cnt = counts[width + at : width + at + len(f)]
             window = cons_window[ci]
             if window is not None:
                 # shared denominator: spreads compare as raw counts. Any
@@ -261,7 +319,38 @@ def prefix_branch_and_bound(
                     return False
         return True
 
-    def rec(rem: list[int], mask: int, cost: int, lb: int, last: int) -> None:
+    states: dict[tuple[int, ...], _CountState] = {}
+
+    def successor(state: _CountState, s: int, size: int) -> _CountState | bool:
+        """The state after placing a signature-``s`` candidate at a node
+        with ``size`` candidates left, or False if the cut fires there."""
+        counts = list(state.counts)
+        for i in sig_slots[s]:
+            # the placed member is favored over every remaining non-member
+            counts[i] += size - counts[width + i]
+            counts[width + i] -= 1
+        key = tuple(counts)
+        child = states.get(key)
+        if child is None:
+            if not check_constraints(key, size - 1):
+                state.next[s] = False
+                return False
+            child = _CountState(key, len(sig_slots))
+            if len(states) >= _COUNT_STATE_CAP:
+                return child
+            states[key] = child
+        state.next[s] = child
+        return child
+
+    root = _CountState(
+        (0,) * width + tuple(size for c in constraints for size in c.sizes),
+        len(sig_slots),
+    )
+    states[root.counts] = root
+
+    def rec(
+        rem: list[int], mask: int, cost: int, lb: int, last: int, state: _CountState
+    ) -> None:
         nonlocal best_order, best_obj, nodes
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
@@ -292,40 +381,35 @@ def prefix_branch_and_bound(
             children.append((inc, c, lb - dmin))
         children.sort()
 
-        rem_size_after = len(rem) - 1
+        size = len(rem)
+        successors = state.next
         for inc, c, lb_child in children:
             cost_child = cost + inc
             if best_obj is not None and cost_child + lb_child >= best_obj:
                 continue
-            if last >= 0 and wm[last][c] > wm[c][last]:
-                # swapping the adjacent pair is strictly cheaper, and (under
-                # constraints) only safe to rely on when it cannot change
-                # any group's favored counts
-                if same_group_everywhere is None or same_group_everywhere[last][c]:
-                    continue
-            feasible = True
-            if constraints:
-                for ci in range(len(cons_gid)):
-                    g = cons_gid[ci][c]
-                    cons_f[ci][g] += len(rem) - cons_rem[ci][g]
-                    cons_rem[ci][g] -= 1
-                feasible = check_constraints(rem_size_after)
-            if feasible:
-                prefix.append(c)
-                rec([r for r in rem if r != c], mask & ~(1 << c), cost_child, lb_child, c)
-                prefix.pop()
-            if constraints:
-                for ci in range(len(cons_gid)):
-                    g = cons_gid[ci][c]
-                    cons_rem[ci][g] += 1
-                    cons_f[ci][g] -= len(rem) - cons_rem[ci][g]
+            s = sig[c]
+            if last >= 0 and wm[last][c] > wm[c][last] and sig[last] == s:
+                # swapping the adjacent pair is strictly cheaper, and only
+                # safe to rely on when it cannot change any group's favored
+                # counts: the pair shares one signature
+                continue
+            child = successors[s]
+            if child is None:
+                child = successor(state, s, size)
+            if child is False:
+                continue
+            prefix.append(c)
+            rec([r for r in rem if r != c], mask & ~(1 << c), cost_child, lb_child, c, child)
+            prefix.pop()
 
     prefix: list[int] = []
     completed = True
     try:
-        rec(list(range(n)), (1 << n) - 1, 0, full_lb, -1)
+        rec(list(range(n)), (1 << n) - 1, 0, full_lb, -1, root)
     except _SearchAborted:
         completed = False
+    finally:
+        states.clear()
     return best_order, best_obj, completed, nodes
 
 

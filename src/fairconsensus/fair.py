@@ -26,6 +26,7 @@ from .consensus import (
     GroupConstraint,
     KemenySolution,
     _borda_order,
+    _check_max_nodes,
     borda,
     copeland,
     kemeny_exact,
@@ -341,8 +342,10 @@ def fair_kemeny(
     infeasible. On budget expiry or after ``max_nodes`` search nodes the
     best feasible incumbent is returned flagged ``optimal=False``; with no
     incumbent the budget error is raised instead. ``max_nodes`` truncation
-    is deterministic: identical inputs stop at the identical node.
+    is deterministic: identical inputs stop at the identical node; it must
+    be ``None`` or a non-negative ``int``, checked before any solve.
     """
+    _check_max_nodes(max_nodes)
     n = precedence.n
     if n > max_exact_n:
         raise InstanceTooLarge(

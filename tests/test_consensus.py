@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -9,7 +11,10 @@ import numpy as np
 import pytest
 
 from fairconsensus import (
+    BudgetExceeded,
     FairnessSpec,
+    Infeasible,
+    MallowsConfig,
     Ranking,
     RankingSet,
     borda,
@@ -23,9 +28,12 @@ from fairconsensus import (
     pick_fairest,
     prefix_branch_and_bound,
     ranking_objective,
+    sample_mallows,
     schulze,
 )
+from fairconsensus import consensus
 from fairconsensus.errors import InstanceTooLarge, ParseError
+from fairconsensus.fair import _constraints, enabled_entities
 from fairconsensus.model import ALL, build_group_index
 
 import helpers
@@ -265,6 +273,23 @@ class TestPrefixSearch:
         order, objective, completed, nodes = prefix_branch_and_bound(wm, max_nodes=0)
         assert order is None and objective is None and not completed
 
+    @pytest.mark.parametrize("max_nodes", [-1, 1.5, True, False, "3"])
+    def test_rejects_bad_max_nodes(self, max_nodes):
+        table = helpers.grid_table(8, 2, 2)
+        spec = FairnessSpec(delta_default=Fraction(1, 4))
+        index = spec.build_index(table)
+        rankings = RankingSet((Ranking(table.candidate_ids),))
+        pm = build_precedence_matrix(rankings, table)
+        with pytest.raises(ValueError, match="max_nodes"):
+            prefix_branch_and_bound(pm.cost_lists(), max_nodes=max_nodes)
+        # rejected up front, where no search would run (a vacuous
+        # threshold) as where one would
+        vacuous = FairnessSpec(delta_default=Fraction(1))
+        with pytest.raises(ValueError, match="max_nodes"):
+            fair_kemeny(pm, vacuous, index, max_nodes=max_nodes)
+        with pytest.raises(ValueError, match="max_nodes"):
+            fair_kemeny(pm, spec, index, max_nodes=max_nodes)
+
 
 class TestFairnessAwareBaselines:
     def test_pick_fairest_takes_lowest_key(self, rng):
@@ -296,3 +321,137 @@ class TestFairnessAwareBaselines:
         actual = kemeny_weighted(rankings, spec, index)
         assert actual.ranking == expected.ranking
         assert actual.objective == expected.objective
+
+
+def _blocked_matrix(table, theta, seed, voters=40):
+    """Precedence matrix of Mallows votes around the order that lists
+    candidates by their attribute values: every group in one block, so the
+    unconstrained optimum is as unfair as it gets and the cut binds."""
+    modal = sorted(range(table.n), key=lambda i: (table.values[i], i))
+    config = MallowsConfig(
+        Ranking(tuple(table.candidate_ids[i] for i in modal)), theta, voters, seed
+    )
+    return build_precedence_matrix(sample_mallows(config), table)
+
+
+def _searched(pm, spec, index, max_nodes):
+    """A capped search from no incumbent, then a capped ``fair_kemeny``."""
+    constraints = _constraints(enabled_entities(spec, index))
+    bare = prefix_branch_and_bound(
+        pm.cost_lists(), constraints=constraints, max_nodes=max_nodes
+    )
+    try:
+        solution = fair_kemeny(pm, spec, index, max_nodes=max_nodes)
+    except (Infeasible, BudgetExceeded) as exc:
+        return bare, type(exc).__name__
+    return bare, (
+        solution.ranking.order,
+        solution.objective,
+        solution.optimal,
+        solution.nodes_explored,
+    )
+
+
+def _sha(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+class TestSearchWalkPinned:
+    """The search walk itself, not just its objective: the order, objective,
+    completion flag and node count of capped searches are pinned by sha256.
+    The digests were recorded with the search that updated and undid each
+    group count in place around every child, before the feasibility cut was
+    memoized over count states."""
+
+    @pytest.mark.parametrize("state_cap", [None, 0, 64])
+    def test_desk_shape(self, monkeypatch, state_cap):
+        # past the cap a state is computed afresh each time: the same walk
+        if state_cap is not None:
+            monkeypatch.setattr(consensus, "_COUNT_STATE_CAP", state_cap)
+        table = helpers.grid_table(24, 3, 2)
+        spec = FairnessSpec(delta_default=Fraction(1, 10))
+        index = spec.build_index(table)
+        outcomes = [
+            _searched(_blocked_matrix(table, theta, seed), spec, index, 4_000)
+            for theta, seed in ((0.5, 23), (1.0, 24))
+        ]
+        assert sum(o[1][3] for o in outcomes) == DESK_NODES
+        assert _sha(outcomes) == DESK_DIGEST
+
+    def test_unequal_group_sizes(self):
+        # differing mixed-pair counts: the cut compares shares by
+        # cross-multiplication, never through the uniform window
+        table = helpers.sized_table({"x": [6, 4, 2], "y": [7, 5]}, random.Random(5))
+        spec = FairnessSpec(delta_default=Fraction(1, 5))
+        index = spec.build_index(table)
+        assert not any(
+            len(set(c.omegas)) == 1 and len(c.sizes) > 2
+            for c in _constraints(enabled_entities(spec, index))
+        )
+        outcomes = [
+            _searched(_blocked_matrix(table, theta, seed), spec, index, 3_000)
+            for theta, seed in ((0.3, 1), (0.8, 2))
+        ]
+        assert _sha(outcomes) == UNEQUAL_DIGEST
+
+    def test_two_groups_alone(self):
+        table = helpers.sized_table({"t": [7, 5]}, random.Random(6))
+        spec = FairnessSpec(delta_default=Fraction(1, 10), intersection_attrs=None)
+        index = spec.build_index(table)
+        outcomes = [
+            _searched(_blocked_matrix(table, theta, seed), spec, index, 3_000)
+            for theta, seed in ((0.3, 3), (1.0, 4))
+        ]
+        assert _sha(outcomes) == TWO_GROUP_DIGEST
+
+    def test_zero_threshold(self):
+        # 12 candidates: equal shares would give each cell 13.5 favored
+        # pairs, so the search proves infeasibility; 16 candidates are feasible
+        spec = FairnessSpec(delta_default=Fraction(0))
+        outcomes = []
+        for n, theta, seed in ((12, 0.5, 5), (16, 0.5, 5), (16, 1.0, 6)):
+            table = helpers.grid_table(n, 2, 2)
+            index = spec.build_index(table)
+            pm = _blocked_matrix(table, theta, seed)
+            outcomes.append(_searched(pm, spec, index, 3_000))
+        assert outcomes[0][1] == "Infeasible"
+        assert _sha(outcomes) == ZERO_DELTA_DIGEST
+
+    def test_intersection_off(self):
+        table = helpers.grid_table(18, 3, 2)
+        spec = FairnessSpec(delta_default=Fraction(1, 8), intersection_attrs=None)
+        index = spec.build_index(table)
+        outcomes = [
+            _searched(_blocked_matrix(table, theta, seed), spec, index, 3_000)
+            for theta, seed in ((0.5, 7), (1.0, 8))
+        ]
+        assert _sha(outcomes) == NO_INTERSECTION_DIGEST
+
+    def test_unconstrained(self):
+        # one signature, never cut; the prefix-set dominance table prunes
+        table = helpers.grid_table(17, 2, 2)
+        outcomes = []
+        for seed in (9, 10):
+            rankings = helpers.random_ranking_set(table, 41, random.Random(seed))
+            pm = build_precedence_matrix(rankings, table)
+            solution = kemeny_exact(pm)
+            outcomes.append(
+                (
+                    prefix_branch_and_bound(pm.cost_lists(), max_nodes=450),
+                    solution.ranking.order,
+                    solution.objective,
+                    solution.optimal,
+                    solution.nodes_explored,
+                )
+            )
+        assert all(o[3] for o in outcomes)
+        assert _sha(outcomes) == UNCONSTRAINED_DIGEST
+
+
+DESK_NODES = 8030
+DESK_DIGEST = "4f35c8009ba213936be13fcac731132da2c5e720a0ff572e390a495d16148154"
+UNEQUAL_DIGEST = "e2a2956c9ad154c7e37ec5e110ba0728ee255550a919e8e5c7e6266164eeb1a9"
+TWO_GROUP_DIGEST = "589a3c4c2a377c591a5dff73931ffbd1defb2db66f476faa7bc36c9aa3283510"
+ZERO_DELTA_DIGEST = "07620813da84a31cf3884da98685ee0122494c46b0522ac50575f65a619ddd98"
+NO_INTERSECTION_DIGEST = "bc85890ac82a542258261ceeb427f7b577ac2953e810bb31dd20a71d840dbed7"
+UNCONSTRAINED_DIGEST = "83873c06b74208d3926a5ab5e98486fe6ca9d482418a20192a91a70ef176b4c6"

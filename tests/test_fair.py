@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from fairconsensus import (
     BudgetExceeded,
+    CandidateTable,
     FairnessSpec,
     Infeasible,
     Ranking,
@@ -311,6 +312,56 @@ class TestFairKemeny:
                     assert fast.objective == oracle.objective
                     assert evaluate_fairness(fast.ranking, spec, index).satisfied
         assert checked >= 45
+
+    @given(data=st.data())
+    def test_property_matches_oracle(self, data):
+        n = data.draw(st.integers(3, 7), label="n")
+        labels = {"x": ["1", "2", "3"], "y": ["p", "q"]}
+        values = {
+            a: data.draw(st.lists(st.sampled_from(v), min_size=n, max_size=n), label=a)
+            for a, v in labels.items()
+        }
+        table = CandidateTable(
+            tuple(f"c{i}" for i in range(n)),
+            tuple(labels),
+            tuple((values["x"][i], values["y"][i]) for i in range(n)),
+        )
+        deltas = st.fractions(min_value=0, max_value=1, max_denominator=10)
+        spec = FairnessSpec(
+            # below 1, where a threshold binds; an override may still be 1
+            delta_default=data.draw(
+                st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10),
+                label="delta",
+            ),
+            delta_attributes=data.draw(
+                st.dictionaries(st.sampled_from(list(labels)), deltas), label="per attribute"
+            ),
+            intersection_attrs=data.draw(
+                st.sampled_from([ALL, None, ("x",), ("y",)]), label="intersection"
+            ),
+            constrain_attributes=data.draw(st.booleans(), label="attributes"),
+        )
+        index = spec.build_index(table)
+        rankings = RankingSet(
+            tuple(
+                Ranking(tuple(p))
+                for p in data.draw(
+                    st.lists(st.permutations(table.candidate_ids), min_size=1, max_size=5),
+                    label="rankings",
+                )
+            )
+        )
+        pm = build_precedence_matrix(rankings, table)
+        try:
+            oracle = brute_force_fair_kemeny(rankings, spec, index)
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                fair_kemeny(pm, spec, index)
+            return
+        fast = fair_kemeny(pm, spec, index)
+        assert fast.optimal
+        assert fast.objective == oracle.objective
+        assert evaluate_fairness(fast.ranking, spec, index).satisfied
 
     def test_solution_objective_is_consistent(self, rng):
         table = helpers.grid_table(8, 2, 2)
