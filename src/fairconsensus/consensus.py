@@ -27,12 +27,14 @@ import numpy as np
 from .errors import InstanceTooLarge, ParseError
 from .metrics import FairnessSpec, entity_spread
 from .model import (
+    Entity,
     GroupIndex,
     PrecedenceMatrix,
     Ranking,
     RankingSet,
     build_precedence_matrix,
     ranking_from_indices,
+    total_mixed_pair_count,
 )
 
 #: Environment variable holding the default solver time budget in ms.
@@ -56,22 +58,6 @@ class KemenySolution:
     objective: int
     optimal: bool
     nodes_explored: int
-
-
-@dataclass(frozen=True)
-class GroupConstraint:
-    """Search-time form of one fairness constraint (attribute or intersection).
-
-    ``gid[c]`` maps candidate index to group ordinal; the spread of the
-    groups' favored-pair shares must stay within ``delta_num/delta_den``.
-    """
-
-    name: str
-    gid: tuple[int, ...]
-    sizes: tuple[int, ...]
-    omegas: tuple[int, ...]
-    delta_num: int
-    delta_den: int
 
 
 def resolve_budget_ms(time_budget_ms: int | None) -> int | None:
@@ -153,23 +139,26 @@ class _CountState:
         self.next: list[_CountState | bool | None] = [None] * signatures
 
 
-def _check_max_nodes(max_nodes: int | None) -> None:
-    if max_nodes is not None and (
-        isinstance(max_nodes, bool) or not isinstance(max_nodes, int) or max_nodes < 0
+def _check_count(value: int | None, what: str) -> None:
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, int) or value < 0
     ):
-        raise ValueError(f"max_nodes must be a non-negative int, got {max_nodes!r}")
+        raise ValueError(f"{what} must be a non-negative int, got {value!r}")
 
 
 def prefix_branch_and_bound(
     wm: list[list[int]],
     *,
-    constraints: Sequence[GroupConstraint] = (),
+    constraints: Sequence[tuple[Entity, Fraction]] = (),
     incumbent_order: Sequence[int] | None = None,
-    incumbent_objective: int | None = None,
     deadline: float | None = None,
     max_nodes: int | None = None,
 ) -> tuple[list[int] | None, int | None, bool, int]:
     """Exact prefix search for a minimum-disagreement (feasible) order.
+
+    ``constraints`` are the ``(Entity, threshold)`` pairs of
+    ``fair.enabled_entities``; group sizes and mixed-pair counts are read
+    from each entity. The objective of ``incumbent_order`` is computed here.
 
     Returns ``(best_order, best_objective, completed, nodes)``. The search
     fixes the ranking top-down; placing candidate ``c`` before the
@@ -197,51 +186,45 @@ def prefix_branch_and_bound(
     input stop at the same node and return the same incumbent. It must be
     ``None`` or a non-negative ``int``.
     """
-    _check_max_nodes(max_nodes)
+    _check_count(max_nodes, "max_nodes")
     n = len(wm)
     mins = [[min(wm[a][b], wm[b][a]) for b in range(n)] for a in range(n)]
     full_lb = sum(mins[a][b] for a in range(n) for b in range(a + 1, n))
 
     best_order = list(incumbent_order) if incumbent_order is not None else None
-    best_obj = incumbent_objective if incumbent_order is not None else None
+    best_obj = ranking_objective(wm, best_order) if best_order is not None else None
     nodes = 0
     # prefix-set dominance is only sound without constraints: feasibility
     # of a completion depends on prefix order, not just the prefix set
     dominance: dict[int, int] | None = {} if not constraints else None
 
-    cons_omega = [c.omegas for c in constraints]
-    cons_delta = [(c.delta_num, c.delta_den) for c in constraints]
+    sizes = [[g.size for g in entity.groups] for entity, _ in constraints]
+    cons_omega = [[g.mixed_pairs for g in entity.groups] for entity, _ in constraints]
+    cons_delta = [(delta.numerator, delta.denominator) for _, delta in constraints]
     # entities whose groups all share one mixed-pair denominator admit a
     # stronger pure-integer test coupling the groups through their fixed
     # total of favored pairs; precompute its window width and that total
-    cons_window: list[int | None] = []
-    cons_total: list[int] = []
-    for c in constraints:
-        uniform = len(set(c.omegas)) == 1 and len(c.sizes) > 2
-        cons_window.append(
-            (c.omegas[0] * c.delta_num) // c.delta_den if uniform else None
-        )
-        total = 0
-        for a in range(len(c.sizes)):
-            for b in range(a + 1, len(c.sizes)):
-                total += c.sizes[a] * c.sizes[b]
-        cons_total.append(total)
+    cons_window = [
+        (omega[0] * dnum) // dden if len(set(omega)) == 1 and len(omega) > 2 else None
+        for omega, (dnum, dden) in zip(cons_omega, cons_delta)
+    ]
+    cons_total = [total_mixed_pair_count(counts, n) for counts in sizes]
 
     # where each constraint's groups start in a state's counts; a group's
     # members left sit `width` after its favored pairs
     offsets: list[int] = []
     width = 0
-    for c in constraints:
+    for counts in sizes:
         offsets.append(width)
-        width += len(c.sizes)
+        width += len(counts)
     # a signature is the count positions of a candidate's groups, numbered
     # in order of first appearance: placing either of two candidates with
     # one signature changes every count alike
     signatures: dict[tuple[int, ...], int] = {}
+    gids = [entity.gid for entity, _ in constraints]
     sig = [
         signatures.setdefault(
-            tuple(at + c.gid[cand] for at, c in zip(offsets, constraints)),
-            len(signatures),
+            tuple(at + gid[cand] for at, gid in zip(offsets, gids)), len(signatures)
         )
         for cand in range(n)
     ]
@@ -343,7 +326,7 @@ def prefix_branch_and_bound(
         return child
 
     root = _CountState(
-        (0,) * width + tuple(size for c in constraints for size in c.sizes),
+        (0,) * width + tuple(size for counts in sizes for size in counts),
         len(sig_slots),
     )
     states[root.counts] = root
@@ -409,7 +392,9 @@ def prefix_branch_and_bound(
     except _SearchAborted:
         completed = False
     finally:
-        states.clear()
+        # `rec` refers to itself; breaking that cycle frees the dominance and
+        # count-state tables now rather than at the next cyclic collection
+        rec = None
     return best_order, best_obj, completed, nodes
 
 
@@ -437,7 +422,6 @@ def kemeny_exact(
     order, objective, completed, nodes = prefix_branch_and_bound(
         wm,
         incumbent_order=seed_order,
-        incumbent_objective=ranking_objective(wm, seed_order),
         deadline=deadline,
     )
     assert order is not None and objective is not None

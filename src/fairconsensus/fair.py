@@ -23,10 +23,9 @@ from typing import Literal, Sequence
 
 from .consensus import (
     DEFAULT_MAX_EXACT_N,
-    GroupConstraint,
     KemenySolution,
     _borda_order,
-    _check_max_nodes,
+    _check_count,
     borda,
     copeland,
     kemeny_exact,
@@ -78,20 +77,6 @@ def enabled_entities(
         if len(entity.groups) >= 2 and delta < 1:
             chosen.append((entity, delta))
     return chosen
-
-
-def _constraints(pairs: Sequence[tuple[Entity, Fraction]]) -> list[GroupConstraint]:
-    return [
-        GroupConstraint(
-            entity.name,
-            entity.gid,
-            tuple(g.size for g in entity.groups),
-            tuple(g.mixed_pairs for g in entity.groups),
-            delta.numerator,
-            delta.denominator,
-        )
-        for entity, delta in pairs
-    ]
 
 
 def _order_satisfies(
@@ -166,10 +151,7 @@ def repair_ranking(
     cross-multiplication and are recomputed only for entities the last swap
     changed.
     """
-    if max_swaps is not None and (
-        isinstance(max_swaps, bool) or not isinstance(max_swaps, int) or max_swaps < 0
-    ):
-        raise ValueError(f"max_swaps must be a non-negative int, got {max_swaps!r}")
+    _check_count(max_swaps, "max_swaps")
     table = index.table
     n = table.n
     cap = max_swaps if max_swaps is not None else 2 * n * n
@@ -335,17 +317,21 @@ def fair_kemeny(
 ) -> KemenySolution:
     """Minimum-disagreement ranking among those satisfying the fairness spec.
 
-    Runs the prefix branch-and-bound with fairness pruning. The search is
-    seeded with repaired unconstrained solutions (and any ``warm_starts``,
-    repaired if needed), so a good feasible incumbent exists early; if the
-    search space is exhausted with no feasible leaf the instance is
-    infeasible. On budget expiry or after ``max_nodes`` search nodes the
-    best feasible incumbent is returned flagged ``optimal=False``; with no
-    incumbent the budget error is raised instead. ``max_nodes`` truncation
-    is deterministic: identical inputs stop at the identical node; it must
-    be ``None`` or a non-negative ``int``, checked before any solve.
+    First solves the unconstrained instance once. When the spec constrains
+    no entity, or that optimum already meets every threshold, it is the
+    answer. Otherwise the prefix branch-and-bound runs with fairness
+    pruning over the ``enabled_entities`` pairs, within what is left of the
+    same time budget. The search is seeded with repaired unconstrained
+    solutions (and any ``warm_starts``, repaired if needed), so a good
+    feasible incumbent exists early; if the search space is exhausted with
+    no feasible leaf the instance is infeasible. On budget expiry or after
+    ``max_nodes`` search nodes the best feasible incumbent is returned
+    flagged ``optimal=False``; with no incumbent the budget error is raised
+    instead. ``max_nodes`` truncation is deterministic: identical inputs
+    stop at the identical node; it must be ``None`` or a non-negative
+    ``int``, checked before any solve.
     """
-    _check_max_nodes(max_nodes)
+    _check_count(max_nodes, "max_nodes")
     n = precedence.n
     if n > max_exact_n:
         raise InstanceTooLarge(
@@ -358,25 +344,12 @@ def fair_kemeny(
     pairs = enabled_entities(spec, index)
     budget = resolve_budget_ms(time_budget_ms)
     deadline = time.perf_counter() + budget / 1000.0 if budget is not None else None
-
-    def remaining_ms() -> int | None:
-        if deadline is None:
-            return None
-        return max(1, int((deadline - time.perf_counter()) * 1000))
-
-    if not pairs:
-        return kemeny_exact(
-            precedence, time_budget_ms=remaining_ms(), max_exact_n=max_exact_n
-        )
-
-    wm = precedence.cost_lists()
-    base = kemeny_exact(
-        precedence, time_budget_ms=remaining_ms(), max_exact_n=max_exact_n
-    )
+    base = kemeny_exact(precedence, time_budget_ms=budget, max_exact_n=max_exact_n)
     base_order = base.ranking.to_indices(index.table)
-    if base.optimal and _order_satisfies(base_order, pairs):
+    if not pairs or (base.optimal and _order_satisfies(base_order, pairs)):
         return base
 
+    wm = precedence.cost_lists()
     seeds: list[Ranking] = [
         base.ranking,
         Ranking(tuple(precedence.ids[i] for i in _borda_order(wm))),
@@ -384,23 +357,21 @@ def fair_kemeny(
         schulze(precedence),
     ]
     seeds.extend(warm_starts)
-    incumbent_order: list[int] | None = None
-    incumbent_obj: int | None = None
+    repaired_orders = []
     for seed in seeds:
         try:
             repaired, _ = repair_ranking(seed, spec, index, collect_swaps=False)
         except RepairStalled:
             continue
-        order = repaired.to_indices(index.table)
-        objective = ranking_objective(wm, order)
-        if incumbent_obj is None or objective < incumbent_obj:
-            incumbent_order, incumbent_obj = order, objective
+        repaired_orders.append(repaired.to_indices(index.table))
 
     order, objective, completed, nodes = prefix_branch_and_bound(
         wm,
-        constraints=_constraints(pairs),
-        incumbent_order=incumbent_order,
-        incumbent_objective=incumbent_obj,
+        constraints=pairs,
+        # the cheapest repaired seed; the first of equal ones
+        incumbent_order=min(
+            repaired_orders, key=lambda o: ranking_objective(wm, o), default=None
+        ),
         deadline=deadline,
         max_nodes=max_nodes,
     )

@@ -291,7 +291,6 @@ def build_scenario(
     seed: int,
     *,
     restarts: int = 50,
-    max_moves: int | None = None,
 ) -> Ranking:
     """Construct a modal ranking whose scores land in the target windows.
 
@@ -299,18 +298,23 @@ def build_scenario(
     out contiguously, attribute-major), then walks scores into their
     windows one pairwise swap at a time: repair-style swaps shrink a spread
     that sits above its window, mirrored swaps widen one that sits below.
-    Each restart reshuffles the starting block order with a seeded stream;
-    if no restart lands in every window the scenario is unreachable.
+    Each restart reshuffles the starting block order with a seeded stream
+    and makes at most ``80 * n + 400`` swaps; if no restart lands in every
+    window the scenario is unreachable. An intersection window needs at
+    least two intersection cells to compare.
     """
     table = index.table
     n = table.n
-    budget = max_moves if max_moves is not None else 80 * n + 400
 
     jobs: list[tuple[Entity, Fraction, Fraction]] = []
     if targets.irp is not None:
         if index.intersection is None:
             raise DegenerateIntersection(
                 "an intersection window needs an index built with one"
+            )
+        if len(index.intersection.groups) < 2:
+            raise DegenerateIntersection(
+                "an intersection window needs at least two intersection cells"
             )
         jobs.append((index.intersection, *_window(*targets.irp)))
     for name in targets.arp:
@@ -340,7 +344,7 @@ def build_scenario(
         cell_rank = {c: r for r, c in enumerate(cell_order)}
         order = sorted(range(n), key=lambda c: (cell_rank[cell_of[c]], c))
 
-        for _ in range(budget):
+        for _ in range(80 * n + 400):
             worst = None  # (excess, job position, direction, hi, lo)
             for pos_j, (entity, lo_bound, hi_bound) in enumerate(jobs):
                 num, den, hi, lo = entity_spread(order, entity)

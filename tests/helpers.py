@@ -6,9 +6,11 @@ tests can freeze seeds and stay reproducible across runs and platforms.
 
 from __future__ import annotations
 
+import csv
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -98,6 +100,12 @@ def random_ranking_set(
     if weights is None:
         weights = [1] * count
     return RankingSet(tuple(rankings), tuple(weights))
+
+
+def read_csv(path: str | Path, *, dicts: bool = False) -> list:
+    """A CSV file's rows as lists, or with ``dicts`` as dicts keyed by header."""
+    with open(path, newline="") as handle:
+        return list((csv.DictReader if dicts else csv.reader)(handle))
 
 
 def count_inversions(first: Ranking, second: Ranking) -> int:

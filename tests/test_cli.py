@@ -89,7 +89,7 @@ class TestAggregate:
             ]
         )
         assert code == 0
-        consensus_rows = list(csv.reader(open(out / "consensus.csv")))
+        consensus_rows = helpers.read_csv(out / "consensus.csv")
         assert len(consensus_rows) == 1
         assert sorted(consensus_rows[0]) == sorted(table.candidate_ids)
         report = json.loads((out / "report.json").read_text())
@@ -355,8 +355,8 @@ class TestMetrics:
             ]
         )
         assert code == 0
-        rows = list(csv.DictReader(open(out / "metrics.csv")))
-        base_rows = list(csv.reader(open(rankings)))
+        rows = helpers.read_csv(out / "metrics.csv", dicts=True)
+        base_rows = helpers.read_csv(rankings)
         assert len(rows) == len(base_rows)
         import random
 
@@ -386,7 +386,7 @@ class TestMetrics:
             ]
         )
         assert code == 0
-        rows = list(csv.DictReader(open(out / "metrics.csv")))
+        rows = helpers.read_csv(out / "metrics.csv", dicts=True)
         assert len(rows) == 1
         assert rows[0]["source"].endswith("scored.csv")
 
@@ -419,9 +419,9 @@ class TestGenerate:
             ]
         )
         assert code == 0
-        sample_rows = list(csv.reader(open(out / "rankings.csv")))
+        sample_rows = helpers.read_csv(out / "rankings.csv")
         assert len(sample_rows) == 10
-        modal_rows = list(csv.reader(open(out / "modal.csv")))
+        modal_rows = helpers.read_csv(out / "modal.csv")
         assert len(modal_rows) == 1
         modal_report = json.loads((out / "modal_report.json").read_text())
         assert "race" in modal_report["fairness"]["attributes"]
@@ -476,10 +476,10 @@ class TestExperiment:
         )
         out = tmp_path / "exp"
         assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
-        rows = list(csv.DictReader(open(out / "runs.csv")))
+        rows = helpers.read_csv(out / "runs.csv", dicts=True)
         assert len(rows) == 3 * 2 * 2 * 2
         assert all(row["status"] == "ok" for row in rows)
-        summary = list(csv.DictReader(open(out / "summary.csv")))
+        summary = helpers.read_csv(out / "summary.csv", dicts=True)
         assert len(summary) == 3 * 2 * 2
         # same instance cache: equal seeds for equal (theta, trial) pairs
         seeds = {
@@ -540,7 +540,7 @@ class TestExperiment:
         }
         Path("config.json").write_text(json.dumps(config))
         assert main(EXPERIMENT) == 0
-        rows = list(csv.DictReader(open("out/runs.csv")))
+        rows = helpers.read_csv("out/runs.csv", dicts=True)
         assert len(rows) == len(methods) * 2 * 2 * 2
         ok = sum(row["status"] == "ok" for row in rows)
         assert ok > 0
@@ -553,7 +553,10 @@ class TestExperiment:
 
 @pytest.fixture
 def grid_case(tmp_path, monkeypatch):
-    """12 candidates on a 3x2 grid plus five base rankings, run from tmp_path."""
+    """12 candidates on a 3x2 grid plus five base rankings, run from tmp_path.
+
+    ``ids.csv`` lists the same candidates with no attribute columns.
+    """
     import random
 
     monkeypatch.chdir(tmp_path)
@@ -562,6 +565,9 @@ def grid_case(tmp_path, monkeypatch):
         tmp_path / "candidates.csv",
         [(cid, *table.values[i]) for i, cid in enumerate(table.candidate_ids)],
         ["candidate_id", "race", "gender"],
+    )
+    write_candidates(
+        tmp_path / "ids.csv", [(cid,) for cid in table.candidate_ids], ["candidate_id"]
     )
     rows = [r.order for r in helpers.random_ranking_set(table, 5, random.Random(3)).rankings]
     write_rankings(tmp_path / "rankings.csv", rows)
@@ -666,6 +672,14 @@ class TestInputBoundary:
                 + ["--theta", "0.5", "--num-rankings", "3"],
                 {}, None, id="generate-tolerance-0",
             ),
+            pytest.param(
+                [*SCENARIO, "--candidates", "ids.csv"]
+                + ["--theta", "0.5", "--num-rankings", "3"],
+                {}, None, id="generate-scenario-one-cell",
+            ),
+            pytest.param(
+                EXPERIMENT, {}, {"candidates": "ids.csv"}, id="config-scenario-one-cell"
+            ),
         ],
     )
     def test_malformed_input_exits_2(
@@ -685,7 +699,7 @@ class TestInputBoundary:
         argv = [*GENERATE, "--theta", "0.5", "--num-rankings", "3"]
         argv[argv.index("--seed") + 1] = seed
         assert main(argv) == 0
-        rows = list(csv.reader(open("out/rankings.csv")))
+        rows = helpers.read_csv("out/rankings.csv")
         assert len(rows) == 3
         assert all(sorted(row) == sorted(grid_case.candidate_ids) for row in rows)
 
@@ -762,7 +776,7 @@ def test_aggregate_matches_experiment_cells(grid_case):
     }
     Path("config.json").write_text(json.dumps(config))
     assert main(["experiment", "--config", "config.json", "--out", "exp"]) == 0
-    rows = {row["method"]: row for row in csv.DictReader(open("exp/runs.csv"))}
+    rows = {row["method"]: row for row in helpers.read_csv("exp/runs.csv", dicts=True)}
     assert main(
         [
             "generate", "--candidates", "candidates.csv", "--modal", "exp/modal.csv",
@@ -846,8 +860,8 @@ def test_written_files_and_timing_sidecars(grid_case, argv, files):
     assert list(timing) == ["millis"]
     assert isinstance(timing["millis"], int) and timing["millis"] >= 0
     if "timings.csv" in files:
-        runs = list(csv.DictReader(open("out/runs.csv")))
-        timings = list(csv.DictReader(open("out/timings.csv")))
+        runs = helpers.read_csv("out/runs.csv", dicts=True)
+        timings = helpers.read_csv("out/timings.csv", dicts=True)
         key = ("method", "theta", "delta", "trial")
         assert [[row[k] for k in key] for row in timings] == [
             [row[k] for k in key] for row in runs

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -33,7 +35,7 @@ from fairconsensus import (
 )
 from fairconsensus import consensus
 from fairconsensus.errors import InstanceTooLarge, ParseError
-from fairconsensus.fair import _constraints, enabled_entities
+from fairconsensus.fair import enabled_entities
 from fairconsensus.model import ALL, build_group_index
 
 import helpers
@@ -239,22 +241,17 @@ class TestKemenyExact:
 
 class TestPrefixSearch:
     def test_max_nodes_truncates_deterministically(self, rng):
-        from fairconsensus.consensus import GroupConstraint
-
         table = helpers.sized_table({"t": [4, 4]}, rng)
         rankings = helpers.random_ranking_set(table, 7, rng)
         wm = build_precedence_matrix(rankings, table).cost_lists()
-        gid = tuple(
-            0 if table.values[i][0] == "t0" else 1 for i in range(table.n)
-        )
-        constraint = GroupConstraint("t", gid, (4, 4), (16, 16), 0, 1)
+        spec = FairnessSpec(delta_default=Fraction(0), intersection_attrs=None)
+        constraints = enabled_entities(spec, spec.build_index(table))
         incumbent = list(range(8))
         runs = [
             prefix_branch_and_bound(
                 wm,
-                constraints=(constraint,),
+                constraints=constraints,
                 incumbent_order=incumbent,
-                incumbent_objective=ranking_objective(wm, incumbent),
                 max_nodes=40,
             )
             for _ in range(2)
@@ -272,6 +269,24 @@ class TestPrefixSearch:
         wm = build_precedence_matrix(rankings, table).cost_lists()
         order, objective, completed, nodes = prefix_branch_and_bound(wm, max_nodes=0)
         assert order is None and objective is None and not completed
+
+    def test_tables_released_on_return(self):
+        # with the cyclic collector off, whatever the search still holds
+        # after it returns stays traced: its tables must not outlive it
+        table = helpers.grid_table(24, 3, 2)
+        rankings = helpers.random_ranking_set(table, 41, random.Random(11))
+        wm = build_precedence_matrix(rankings, table).cost_lists()
+        gc.disable()
+        try:
+            tracemalloc.start()
+            before = tracemalloc.get_traced_memory()[0]
+            result = prefix_branch_and_bound(wm, max_nodes=10_000)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert result[3] > 5_000
+        assert held < 100_000
 
     @pytest.mark.parametrize("max_nodes", [-1, 1.5, True, False, "3"])
     def test_rejects_bad_max_nodes(self, max_nodes):
@@ -336,7 +351,7 @@ def _blocked_matrix(table, theta, seed, voters=40):
 
 def _searched(pm, spec, index, max_nodes):
     """A capped search from no incumbent, then a capped ``fair_kemeny``."""
-    constraints = _constraints(enabled_entities(spec, index))
+    constraints = enabled_entities(spec, index)
     bare = prefix_branch_and_bound(
         pm.cost_lists(), constraints=constraints, max_nodes=max_nodes
     )
@@ -385,8 +400,8 @@ class TestSearchWalkPinned:
         spec = FairnessSpec(delta_default=Fraction(1, 5))
         index = spec.build_index(table)
         assert not any(
-            len(set(c.omegas)) == 1 and len(c.sizes) > 2
-            for c in _constraints(enabled_entities(spec, index))
+            len({g.mixed_pairs for g in entity.groups}) == 1 and len(entity.groups) > 2
+            for entity, _ in enabled_entities(spec, index)
         )
         outcomes = [
             _searched(_blocked_matrix(table, theta, seed), spec, index, 3_000)

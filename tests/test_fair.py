@@ -392,7 +392,20 @@ class TestFairKemeny:
         assert enabled_entities(spec, index) == []
         rankings = helpers.random_ranking_set(table, 5, rng)
         pm = build_precedence_matrix(rankings, table)
-        assert fair_kemeny(pm, spec, index).objective == kemeny_exact(pm).objective
+        base = kemeny_exact(pm)
+        # ranking, objective, optimality flag and node count all agree
+        assert fair_kemeny(pm, spec, index) == base
+        # a threshold below 1 that the unconstrained optimum already meets
+        # constrains the search, yet hands back that same solution
+        order = base.ranking.to_indices(table)
+        delta = max(
+            Fraction(*entity_spread(order, entity)[:2])
+            for entity in spec.entities(index)
+        )
+        assert delta < 1
+        tight = FairnessSpec(delta_default=delta, intersection_attrs=ALL)
+        assert enabled_entities(tight, index) != []
+        assert fair_kemeny(pm, tight, index) == base
 
     def test_objective_monotone_in_threshold(self, rng):
         # relaxing the threshold can only lower the exact optimum

@@ -14,6 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fairconsensus import (
+    CandidateTable,
+    DegenerateIntersection,
     MallowsConfig,
     Ranking,
     ScenarioTargets,
@@ -285,6 +287,18 @@ class TestScenarioConstruction:
         )
         with pytest.raises(ScenarioUnreachable):
             build_scenario(index, targets, seed=1, restarts=3)
+
+    @pytest.mark.parametrize("attributes", [(), ("race",)])
+    def test_single_cell_intersection_raises(self, attributes):
+        # no attribute, or one value shared by all: one intersection cell,
+        # so there is no intersectional spread to target
+        table = CandidateTable(
+            ("a", "b", "c"), attributes, tuple(("r0",) * len(attributes) for _ in "abc")
+        )
+        index = build_group_index(table, intersection_attrs=ALL)
+        targets = ScenarioTargets({}, (Fraction("0.7"), Fraction("0.05")))
+        with pytest.raises(DegenerateIntersection, match="two intersection cells"):
+            build_scenario(index, targets, seed=1)
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
