@@ -3,8 +3,12 @@
 Polynomial methods (positional points, pairwise wins, strongest paths) sit
 next to an exact Kemeny solver realized as a depth-first branch-and-bound
 over ranking prefixes. The same search engine optionally enforces fairness
-constraints; the fair front-end lives in the fair-consensus module. Under
-constraints the search carries interned group-count states down the
+constraints; the fair front-end lives in the fair-consensus module. Each
+node of the search carries, beside its remaining candidates, every
+candidate's cost and bound term against the rest as running sums, so a
+child's sums come from its parent's in one pass. Children the bound or the
+feasibility cut rules out are dropped before the survivors are sorted.
+Under constraints the search carries interned group-count states down the
 prefix: the feasibility cut reads only a state's counts, so it runs once
 per distinct state, and each state memoizes where placing a candidate of
 each group signature leads.
@@ -20,6 +24,7 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -129,7 +134,9 @@ class _CountState:
     then, in the same group order, each group's members not yet placed.
     Slot ``s`` of ``next`` answers "place a candidate of group signature
     ``s`` next": ``None`` until asked, ``False`` when the feasibility cut
-    fires, else the child state.
+    fires, else the child state. A node asks for the slot of every child
+    the bound lets through, before the sort, so a child later skipped by
+    the adjacency prune or a tightened bound may still fill its slot.
     """
 
     __slots__ = ("counts", "next")
@@ -146,6 +153,17 @@ def _check_count(value: int | None, what: str) -> None:
         raise ValueError(f"{what} must be a non-negative int, got {value!r}")
 
 
+def _check_order(order: Sequence[int] | None, n: int) -> None:
+    if order is not None and (
+        len(order) != n
+        or set(order) != set(range(n))
+        or not all(isinstance(c, Integral) for c in order)
+    ):
+        raise ValueError(
+            f"incumbent_order must be a permutation of range({n}), got {order!r}"
+        )
+
+
 def prefix_branch_and_bound(
     wm: list[list[int]],
     *,
@@ -158,7 +176,8 @@ def prefix_branch_and_bound(
 
     ``constraints`` are the ``(Entity, threshold)`` pairs of
     ``fair.enabled_entities``; group sizes and mixed-pair counts are read
-    from each entity. The objective of ``incumbent_order`` is computed here.
+    from each entity. ``incumbent_order``, when given, must be a permutation
+    of ``range(len(wm))``; its objective is computed here.
 
     Returns ``(best_order, best_objective, completed, nodes)``. The search
     fixes the ranking top-down; placing candidate ``c`` before the
@@ -168,18 +187,32 @@ def prefix_branch_and_bound(
     prefix and a node is cut as soon as some spread can no longer land
     within its threshold, no matter how the remainder is ordered.
 
+    Both sums are running totals: a node holds, aligned with its remaining
+    candidates, each one's cost ``sum(wm[c][r])`` and minima
+    ``sum(mins[c][r])`` over the remaining set. The root takes row sums;
+    placing ``c`` subtracts column ``c`` and drops ``c``, one pass per
+    child instead of one per pair at every node. Before sorting, a node
+    drops each child the bound already cuts and each child whose count
+    state the feasibility cut rules out. Neither changes the walk: the
+    incumbent only improves, so a child cut now would be cut at its turn,
+    and the survivors are checked against the bound again at their turn.
+    They sort by ``(cost, candidate)``, a unique key, so they expand in
+    the order that sorting every child would give.
+
     The counts live in interned *states*: each constraint's favored and
     remaining count per group. A candidate's *signature* is its group in
     every constraint, and a child's state follows from its parent's state
     and the child's signature alone. The cut reads nothing but the child's
     counts (the remaining-candidate total is their sum), so each state
     memoizes, per signature, its successor or the cut, and the cut runs
-    once per distinct (state, signature) pair. The memo is exact: every
-    node, and the order they are visited in, are those of checking each
-    child afresh. Without constraints there is one signature and one
-    state, never cut. At most ``_COUNT_STATE_CAP`` states are stored per
-    search; past that, a new state is computed each time it is reached and
-    not stored. The table is released when the search returns.
+    once per distinct (state, signature) pair. Successors are asked for
+    every child that passes the bound, before the adjacency prune. The
+    memo is exact: every node, and the order they are visited in, are
+    those of checking each child afresh. Without constraints there is one
+    signature and one state, never cut. At most ``_COUNT_STATE_CAP``
+    states are stored per search; past that, a new state is computed each
+    time it is reached and not stored. The table, like the per-node
+    lists, is released when the search returns.
 
     ``max_nodes`` truncates the search after a fixed number of nodes, a
     deterministic alternative to a wall-clock deadline: reruns on the same
@@ -188,7 +221,10 @@ def prefix_branch_and_bound(
     """
     _check_count(max_nodes, "max_nodes")
     n = len(wm)
+    _check_order(incumbent_order, n)
     mins = [[min(wm[a][b], wm[b][a]) for b in range(n)] for a in range(n)]
+    # column `c` of the cost matrix; `mins` is symmetric, its rows serve
+    cols = [list(col) for col in zip(*wm)]
     full_lb = sum(mins[a][b] for a in range(n) for b in range(a + 1, n))
 
     best_order = list(incumbent_order) if incumbent_order is not None else None
@@ -332,7 +368,14 @@ def prefix_branch_and_bound(
     states[root.counts] = root
 
     def rec(
-        rem: list[int], mask: int, cost: int, lb: int, last: int, state: _CountState
+        rem: list[int],
+        incs: list[int],
+        dmins: list[int],
+        mask: int,
+        cost: int,
+        lb: int,
+        last: int,
+        state: _CountState,
     ) -> None:
         nonlocal best_order, best_obj, nodes
         nodes += 1
@@ -352,43 +395,67 @@ def prefix_branch_and_bound(
             if len(dominance) < _DOMINANCE_CAP:
                 dominance[mask] = cost
 
-        children = []
-        for c in rem:
-            row_w = wm[c]
-            row_m = mins[c]
-            inc = 0
-            dmin = 0
-            for r in rem:
-                inc += row_w[r]
-                dmin += row_m[r]
-            children.append((inc, c, lb - dmin))
-        children.sort()
-
+        # children the bound or the feasibility cut already rules out would
+        # be skipped at their turn too, so they never reach the sort
         size = len(rem)
         successors = state.next
-        for inc, c, lb_child in children:
-            cost_child = cost + inc
-            if best_obj is not None and cost_child + lb_child >= best_obj:
+        room = None if best_obj is None else best_obj - cost - lb
+        children = []
+        for k, c in enumerate(rem):
+            inc = incs[k]
+            dmin = dmins[k]
+            if room is not None and inc - dmin >= room:
                 continue
             s = sig[c]
-            if last >= 0 and wm[last][c] > wm[c][last] and sig[last] == s:
+            child = successors[s]
+            if child is None:
+                child = successor(state, s, size)
+            if child is not False:
+                children.append((inc, c, k, child))
+        children.sort()
+
+        for inc, c, k, child in children:
+            cost_child = cost + inc
+            lb_child = lb - dmins[k]
+            if best_obj is not None and cost_child + lb_child >= best_obj:
+                continue
+            if last >= 0 and wm[last][c] > wm[c][last] and sig[last] == sig[c]:
                 # swapping the adjacent pair is strictly cheaper, and only
                 # safe to rely on when it cannot change any group's favored
                 # counts: the pair shares one signature
                 continue
-            child = successors[s]
-            if child is None:
-                child = successor(state, s, size)
-            if child is False:
-                continue
+            col_w = cols[c]
+            col_m = mins[c]
+            child_rem = rem[:]
+            child_incs = [i - col_w[r] for r, i in zip(rem, incs)]
+            child_dmins = [d - col_m[r] for r, d in zip(rem, dmins)]
+            del child_rem[k], child_incs[k], child_dmins[k]
             prefix.append(c)
-            rec([r for r in rem if r != c], mask & ~(1 << c), cost_child, lb_child, c, child)
+            rec(
+                child_rem,
+                child_incs,
+                child_dmins,
+                mask & ~(1 << c),
+                cost_child,
+                lb_child,
+                c,
+                child,
+            )
             prefix.pop()
 
     prefix: list[int] = []
     completed = True
     try:
-        rec(list(range(n)), (1 << n) - 1, 0, full_lb, -1, root)
+        rec(
+            list(range(n)),
+            [sum(row) for row in wm],
+            [sum(row) for row in mins],
+            (1 << n) - 1,
+            0,
+            full_lb,
+            -1,
+            root,
+        )
     except _SearchAborted:
         completed = False
     finally:

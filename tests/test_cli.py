@@ -6,6 +6,8 @@ import csv
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from fractions import Fraction
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fairconsensus
 from fairconsensus import Ranking, cli, pd_loss
 from fairconsensus.cli import METHODS, main
 from fairconsensus.mallows import derive_seed
@@ -177,6 +180,28 @@ class TestAggregate:
 
 
 class TestExitCodes:
+    def test_module_entry_point(self, tmp_path):
+        # `python -m fairconsensus` runs `cli.main` and exits with its code
+        src = str(Path(fairconsensus.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "fairconsensus", *args],
+                cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": path},
+                capture_output=True,
+                text=True,
+            )
+
+        shown = run("--help")
+        assert shown.returncode == 0
+        assert "aggregate" in shown.stdout
+        bare = run("aggregate")
+        assert bare.returncode == 2
+        assert "required" in bare.stderr
+        assert not list(tmp_path.iterdir())
+
     def test_parse_error_bad_header(self, tmp_path):
         bad = tmp_path / "candidates.csv"
         write_candidates(bad, [("a", "g"), ("b", "o")], ["id", "team"])

@@ -270,23 +270,54 @@ class TestPrefixSearch:
         order, objective, completed, nodes = prefix_branch_and_bound(wm, max_nodes=0)
         assert order is None and objective is None and not completed
 
-    def test_tables_released_on_return(self):
-        # with the cyclic collector off, whatever the search still holds
-        # after it returns stays traced: its tables must not outlive it
-        table = helpers.grid_table(24, 3, 2)
-        rankings = helpers.random_ranking_set(table, 41, random.Random(11))
-        wm = build_precedence_matrix(rankings, table).cost_lists()
+    @staticmethod
+    def _held_after(wm, **kwargs):
+        """The search's result and the traced bytes still held once it
+        returns, with the cyclic collector off so nothing it leaves in a
+        cycle is freed behind the measurement."""
         gc.disable()
         try:
             tracemalloc.start()
             before = tracemalloc.get_traced_memory()[0]
-            result = prefix_branch_and_bound(wm, max_nodes=10_000)
+            result = prefix_branch_and_bound(wm, **kwargs)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
             gc.enable()
+        return result, held
+
+    def test_tables_released_on_return(self):
+        # the dominance table and the per-node lists must not outlive it
+        table = helpers.grid_table(24, 3, 2)
+        rankings = helpers.random_ranking_set(table, 41, random.Random(11))
+        wm = build_precedence_matrix(rankings, table).cost_lists()
+        result, held = self._held_after(wm, max_nodes=10_000)
         assert result[3] > 5_000
         assert held < 100_000
+
+    def test_constrained_tables_released_on_return(self):
+        # the count-state table and the per-node lists must not outlive it;
+        # twelve intersection cells intern megabytes of states in this walk
+        table = helpers.grid_table(24, 4, 3)
+        spec = FairnessSpec(delta_default=Fraction(1, 10))
+        constraints = enabled_entities(spec, spec.build_index(table))
+        wm = _blocked_matrix(table, 0.5, 23).cost_lists()
+        result, held = self._held_after(
+            wm, constraints=constraints, max_nodes=6_000
+        )
+        assert result[3] > 5_000
+        assert held < 100_000
+
+    @pytest.mark.parametrize(
+        "incumbent",
+        [[0, 1], [3, 2, 1, 1], [9, 1, 2, 3], [0, 1, 2, 3, 4], [0.0, 1, 2, 3]],
+    )
+    def test_rejects_incumbent_that_is_not_a_permutation(self, incumbent):
+        # refused before any search: a non-permutation would otherwise come
+        # back as a completed optimum, or fail on an index
+        wm = [[0, 1, 2, 1], [1, 0, 1, 2], [0, 1, 0, 1], [1, 0, 1, 0]]
+        with pytest.raises(ValueError, match="incumbent_order"):
+            prefix_branch_and_bound(wm, incumbent_order=incumbent)
 
     @pytest.mark.parametrize("max_nodes", [-1, 1.5, True, False, "3"])
     def test_rejects_bad_max_nodes(self, max_nodes):
@@ -376,7 +407,9 @@ class TestSearchWalkPinned:
     completion flag and node count of capped searches are pinned by sha256.
     The digests were recorded with the search that updated and undid each
     group count in place around every child, before the feasibility cut was
-    memoized over count states."""
+    memoized over count states; ``NO_INCUMBENT_DIGEST`` with the memoized
+    cut, while every node still summed each child's cost afresh and sorted
+    all its children."""
 
     @pytest.mark.parametrize("state_cap", [None, 0, 64])
     def test_desk_shape(self, monkeypatch, state_cap):
@@ -442,6 +475,24 @@ class TestSearchWalkPinned:
         ]
         assert _sha(outcomes) == NO_INTERSECTION_DIGEST
 
+    def test_constrained_without_incumbent(self):
+        # no incumbent: the bound is off until the first leaf, then tightens
+        # while the rest of that node's children wait their turn
+        table = helpers.grid_table(12, 3, 2)
+        spec = FairnessSpec(delta_default=Fraction(1, 10))
+        constraints = enabled_entities(spec, spec.build_index(table))
+        outcomes = [
+            prefix_branch_and_bound(
+                _blocked_matrix(table, theta, seed).cost_lists(),
+                constraints=constraints,
+                max_nodes=cap,
+            )
+            for theta, seed in ((0.3, 11), (1.0, 12))
+            for cap in (None, 2_000)
+        ]
+        assert [o[2] for o in outcomes] == [True, False, True, False]
+        assert _sha(outcomes) == NO_INCUMBENT_DIGEST
+
     def test_unconstrained(self):
         # one signature, never cut; the prefix-set dominance table prunes
         table = helpers.grid_table(17, 2, 2)
@@ -469,4 +520,5 @@ UNEQUAL_DIGEST = "e2a2956c9ad154c7e37ec5e110ba0728ee255550a919e8e5c7e6266164eeb1
 TWO_GROUP_DIGEST = "589a3c4c2a377c591a5dff73931ffbd1defb2db66f476faa7bc36c9aa3283510"
 ZERO_DELTA_DIGEST = "07620813da84a31cf3884da98685ee0122494c46b0522ac50575f65a619ddd98"
 NO_INTERSECTION_DIGEST = "bc85890ac82a542258261ceeb427f7b577ac2953e810bb31dd20a71d840dbed7"
+NO_INCUMBENT_DIGEST = "761f93360555b50dbd637e2336d392fd7e4887b4ebec0dd6b8caa48723bdec60"
 UNCONSTRAINED_DIGEST = "83873c06b74208d3926a5ab5e98486fe6ca9d482418a20192a91a70ef176b4c6"
