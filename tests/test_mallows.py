@@ -303,3 +303,32 @@ class TestScenarioConstruction:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             scenario_targets("mid", ("race",))
+
+    def test_pinned_walks(self):
+        # the walk itself: every output order (or the unreachable marker)
+        # over both grid sizes, intersection on and off, every preset and
+        # two seeds; these cells make narrowing and widening moves, widenings
+        # with no legal pair (which restart) and unreachable scenarios
+        outputs = []
+        for n in (12, 24):
+            table = helpers.grid_table(n, 3, 2)
+            for scope in (ALL, None):
+                index = build_group_index(table, intersection_attrs=scope)
+                for preset in ("low-fair", "medium-fair", "high-fair"):
+                    targets = scenario_targets(preset, ("race", "gender"))
+                    if scope is None:
+                        targets = ScenarioTargets(targets.arp, None)
+                    for seed in (1, 7):
+                        try:
+                            modal = build_scenario(index, targets, seed, restarts=3)
+                        except ScenarioUnreachable:
+                            outputs.append("unreachable")
+                        else:
+                            outputs.append(modal.order)
+        assert outputs.count("unreachable") == SCENARIO_UNREACHABLE_COUNT
+        digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+        assert digest == SCENARIO_DIGEST
+
+
+SCENARIO_UNREACHABLE_COUNT = 5
+SCENARIO_DIGEST = "338cecfb8fb012653305c73e81fdf49c0fc4610f686b5971d06b3dfee1d648e3"
