@@ -1050,8 +1050,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-nodes",
         type=int,
         default=None,
-        help="deterministically truncate the fair-kemeny search after this "
-        "many branch-and-bound nodes (best incumbent is kept)",
+        help="deterministically truncate fair-kemeny's fairness-pruned search after "
+        "this many nodes, keeping the best incumbent; the unconstrained solve "
+        "before it is not capped, and its nodes count in nodes_explored",
     )
     agg.add_argument(
         "--no-pof",

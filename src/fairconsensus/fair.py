@@ -15,7 +15,7 @@ solver is tested against.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -45,9 +45,9 @@ from .errors import (
 from .metrics import (
     FairnessReport,
     FairnessSpec,
+    GroupCountTracker,
     entity_spread,
     evaluate_fairness,
-    favored_pair_counts,
     pd_loss,
     spread_of,
 )
@@ -92,15 +92,14 @@ def _order_satisfies(
 
 @dataclass(slots=True)
 class _RepairEntity:
-    """One enabled entity's state in the swap repair: its favored-pair
-    counts, its cached spread and each group's member positions, sorted."""
+    """One enabled entity in the swap repair: its threshold, what its swap
+    pairs must agree on, its cached spread, and its tracker lists."""
 
     entity: Entity
-    gid: tuple[int, ...]
-    favored: list[int]
-    omegas: list[int]
     dnum: int
     dden: int
+    favored: list[int]
+    omegas: list[int]
     positions: list[list[int]]
     other_gids: list[tuple[int, ...]] = field(default_factory=list)
     can_be_clean: bool = False
@@ -144,12 +143,11 @@ def repair_ranking(
     unvisited swaps. The default cap of ``2 * n**2`` swaps bounds the walk
     regardless; ``max_swaps`` must be a non-negative ``int``.
 
-    Each group's member positions are kept in a sorted list and queried by
-    bisection, so pairing a member with its partner costs O(log n); a swap
-    deletes and inserts one position in two lists of each entity it
-    changes, an O(n) memmove in C per list. Scores compare by integer
-    cross-multiplication and are recomputed only for entities the last swap
-    changed.
+    A ``GroupCountTracker`` keeps the counts and each group's sorted member
+    positions: pairing a member with its partner costs O(log n), and a swap
+    moves one position in two sorted lists of each entity it changes, an
+    O(n) memmove in C per list. Scores compare by integer cross-products,
+    recomputed only for the entities the tracker reports the swap changed.
     """
     _check_count(max_swaps, "max_swaps")
     table = index.table
@@ -160,31 +158,21 @@ def repair_ranking(
     pairs.sort(key=lambda p: (not p[0].is_intersection,))
 
     order = ranking.to_indices(table)
-    ents = []
-    for entity, delta in pairs:
-        gid = entity.gid
-        positions: list[list[int]] = [[] for _ in entity.groups]
-        for p, c in enumerate(order):
-            positions[gid[c]].append(p)
-        ents.append(
-            _RepairEntity(
-                entity,
-                gid,
-                favored_pair_counts(order, gid, len(entity.groups)),
-                [g.mixed_pairs for g in entity.groups],
-                delta.numerator,
-                delta.denominator,
-                positions,
-            )
+    tracker = GroupCountTracker(order, [entity for entity, _ in pairs])
+    ents = [
+        _RepairEntity(entity, delta.numerator, delta.denominator, *lists)
+        for (entity, delta), *lists in zip(
+            pairs, tracker.favored, tracker.omegas, tracker.positions
         )
+    ]
     for ent in ents:
-        ent.other_gids = [o.gid for o in ents if o is not ent]
+        ent.other_gids = [o.entity.gid for o in ents if o is not ent]
         # Can two candidates differ in this entity yet agree on all others?
         # Only then is a disturbance-free swap pair worth scanning for.
         profile_gid: dict[tuple[int, ...], int] = {}
         for c in range(n):
             key = tuple(g[c] for g in ent.other_gids)
-            if profile_gid.setdefault(key, ent.gid[c]) != ent.gid[c]:
+            if profile_gid.setdefault(key, ent.entity.gid[c]) != ent.entity.gid[c]:
                 ent.can_be_clean = True
                 break
 
@@ -198,9 +186,10 @@ def repair_ranking(
 
     swaps: list[tuple[str, str, str]] = []
     iterations = 0
-    dirty = ents
+    dirty = range(len(ents))  # indices of the entities whose spread is stale
     while True:
-        for ent in dirty:
+        for e in dirty:
+            ent = ents[e]
             ent.spread = spread_of(ent.favored, ent.omegas)
         # out-of-threshold entities, largest spread first; equal spreads
         # keep priority order
@@ -265,40 +254,12 @@ def repair_ranking(
         ent, p0, s0, order_hash = chosen
         if len(seen_orders) < max_seen:
             seen_orders.add(order_hash)
-        demoted, promoted = order[p0], order[s0]
-
-        span = s0 - p0
-        dirty = []
-        for other in ents:
-            gid = other.gid
-            gu, gv = gid[demoted], gid[promoted]
-            if gu == gv:
-                continue  # same group: every favored count and position is unchanged
-            # The demoted member passes below the span candidates and the
-            # promoted one, handing one favored mixed pair each to the
-            # promoted member's group; each between-candidate's own group
-            # gains one pair from the demotion and loses one from the
-            # promotion, netting zero.
-            other.favored[gu] -= span
-            other.favored[gv] += span
-            members = other.positions[gu]
-            del members[bisect_left(members, p0)]
-            insort(members, s0)
-            members = other.positions[gv]
-            del members[bisect_left(members, s0)]
-            insort(members, p0)
-            dirty.append(other)
-
-        order[p0], order[s0] = promoted, demoted
+        dirty = tracker.swap(p0, s0)
         iterations += 1
         if collect_swaps:
-            swaps.append(
-                (
-                    table.candidate_ids[demoted],
-                    table.candidate_ids[promoted],
-                    ent.entity.name,
-                )
-            )
+            # the swap put the demoted candidate at s0, the promoted one at p0
+            ids = table.candidate_ids
+            swaps.append((ids[order[s0]], ids[order[p0]], ent.entity.name))
 
     repaired = Ranking(tuple(table.candidate_ids[i] for i in order))
     report = evaluate_fairness(repaired, spec, index)
@@ -325,11 +286,12 @@ def fair_kemeny(
     solutions (and any ``warm_starts``, repaired if needed), so a good
     feasible incumbent exists early; if the search space is exhausted with
     no feasible leaf the instance is infeasible. On budget expiry or after
-    ``max_nodes`` search nodes the best feasible incumbent is returned
-    flagged ``optimal=False``; with no incumbent the budget error is raised
-    instead. ``max_nodes`` truncation is deterministic: identical inputs
-    stop at the identical node; it must be ``None`` or a non-negative
-    ``int``, checked before any solve.
+    ``max_nodes`` nodes of the fairness-pruned search the best feasible
+    incumbent is returned flagged ``optimal=False``; with no incumbent the
+    budget error is raised instead. ``max_nodes`` truncation is
+    deterministic; it must be ``None`` or a non-negative ``int``, checked
+    before any solve. The unconstrained solve is not capped (only the time
+    budget bounds it), and its nodes count in ``nodes_explored``.
     """
     _check_count(max_nodes, "max_nodes")
     n = precedence.n

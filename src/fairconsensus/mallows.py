@@ -30,7 +30,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateIntersection, ScenarioUnreachable, UnknownAttribute
-from .metrics import entity_spread
+from .metrics import GroupCountTracker, spread_of
 from .model import Entity, GroupIndex, Ranking, RankingSet
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -254,37 +254,6 @@ def _window(target: Fraction, tolerance: Fraction) -> tuple[Fraction, Fraction]:
     return max(Fraction(0), target - tolerance), min(Fraction(1), target + tolerance)
 
 
-def _positions_of(order: Sequence[int], members: Sequence[int]) -> list[int]:
-    pos = {c: p for p, c in enumerate(order)}
-    return sorted(pos[m] for m in members)
-
-
-def _narrow_spread(order: list[int], entity: Entity, hi: int, lo: int) -> bool:
-    """One repair-style swap: demote the high group, promote the low group."""
-    hi_positions = _positions_of(order, entity.groups[hi].members)
-    lo_positions = _positions_of(order, entity.groups[lo].members)
-    bottom_lo = lo_positions[-1]
-    candidates = [p for p in hi_positions if p < bottom_lo]
-    if not candidates:
-        return False
-    p = candidates[-1]
-    s = next(q for q in lo_positions if q > p)
-    order[p], order[s] = order[s], order[p]
-    return True
-
-
-def _widen_spread(order: list[int], entity: Entity, hi: int, lo: int) -> bool:
-    """One anti-repair swap: promote the high group past the low group."""
-    hi_positions = _positions_of(order, entity.groups[hi].members)
-    lo_positions = _positions_of(order, entity.groups[lo].members)
-    top_lo = lo_positions[0]
-    if top_lo > hi_positions[-1]:
-        return False
-    s = next(q for q in hi_positions if q > top_lo)
-    order[top_lo], order[s] = order[s], order[top_lo]
-    return True
-
-
 def build_scenario(
     index: GroupIndex,
     targets: ScenarioTargets,
@@ -298,10 +267,11 @@ def build_scenario(
     out contiguously, attribute-major), then walks scores into their
     windows one pairwise swap at a time: repair-style swaps shrink a spread
     that sits above its window, mirrored swaps widen one that sits below.
-    Each restart reshuffles the starting block order with a seeded stream
-    and makes at most ``80 * n + 400`` swaps; if no restart lands in every
-    window the scenario is unreachable. An intersection window needs at
-    least two intersection cells to compare.
+    A ``GroupCountTracker`` finds and makes both, so each costs O(log n)
+    plus a list memmove. Each restart reshuffles the starting block order
+    with a seeded stream and makes at most ``80 * n + 400`` swaps; if no
+    restart lands in every window the scenario is unreachable. An
+    intersection window needs at least two intersection cells to compare.
     """
     table = index.table
     n = table.n
@@ -343,33 +313,30 @@ def build_scenario(
             SplitMix64(derive_seed(seed, attempt)).shuffle(cell_order)
         cell_rank = {c: r for r, c in enumerate(cell_order)}
         order = sorted(range(n), key=lambda c: (cell_rank[cell_of[c]], c))
+        tracker = GroupCountTracker(order, [entity for entity, _, _ in jobs])
 
         for _ in range(80 * n + 400):
-            worst = None  # (excess, job position, direction, hi, lo)
-            for pos_j, (entity, lo_bound, hi_bound) in enumerate(jobs):
-                num, den, hi, lo = entity_spread(order, entity)
+            worst = None  # (excess, move, job position, hi, lo)
+            for j, (_, lo_bound, hi_bound) in enumerate(jobs):
+                num, den, hi, lo = spread_of(tracker.favored[j], tracker.omegas[j])
                 spread = Fraction(num, den)
                 if spread > hi_bound:
                     excess = spread - hi_bound
-                    direction = "narrow"
+                    move = tracker.narrowing
                 elif spread < lo_bound:
                     excess = lo_bound - spread
-                    direction = "widen"
+                    move = tracker.widening
                 else:
                     continue
                 if worst is None or excess > worst[0]:
-                    worst = (excess, pos_j, direction, hi, lo)
+                    worst = (excess, move, j, hi, lo)
             if worst is None:
                 return Ranking(tuple(table.candidate_ids[i] for i in order))
-            _, pos_j, direction, hi, lo = worst
-            entity = jobs[pos_j][0]
-            moved = (
-                _narrow_spread(order, entity, hi, lo)
-                if direction == "narrow"
-                else _widen_spread(order, entity, hi, lo)
-            )
-            if not moved:
+            _, move, j, hi, lo = worst
+            pair = move(j, hi, lo)
+            if pair is None:
                 break  # no legal move; try a fresh start
+            tracker.swap(*pair)
     raise ScenarioUnreachable(
         f"no ranking hit every target window within {restarts} restarts"
     )

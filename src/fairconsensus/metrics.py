@@ -10,9 +10,10 @@ spec when every enabled spread stays within its threshold.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -100,6 +101,71 @@ def entity_spread(order: Sequence[int], entity: Entity) -> tuple[int, int, int, 
     """``spread_of`` over an entity's groups for a ranking given as indices."""
     favored = favored_pair_counts(order, entity.gid, len(entity.groups))
     return spread_of(favored, [g.mixed_pairs for g in entity.groups])
+
+
+class GroupCountTracker:
+    """Favored counts and sorted member positions of some entities, kept
+    current while ``order`` (candidate indices, top-down) changes by swaps:
+    ``spread_of(favored[e], omegas[e])`` is entity ``e``'s spread, and
+    ``positions[e][g]`` lists group ``g``'s member positions, ascending."""
+
+    __slots__ = ("order", "favored", "omegas", "positions", "_rows")
+
+    def __init__(self, order: list[int], entities: Sequence[Entity]) -> None:
+        self.order = order
+        self.favored = [favored_pair_counts(order, e.gid, len(e.groups)) for e in entities]
+        self.omegas = [[g.mixed_pairs for g in e.groups] for e in entities]
+        self.positions = [[[] for _ in e.groups] for e in entities]
+        # one row per entity, so that a swap unpacks instead of indexing
+        gids = [e.gid for e in entities]
+        self._rows = list(zip(count(), gids, self.favored, self.positions))
+        for _, gid, _, positions in self._rows:
+            for p, c in enumerate(order):
+                positions[gid[c]].append(p)
+
+    def swap(self, p: int, s: int) -> list[int]:
+        """Swap the candidates at positions ``p < s``; returns the entities
+        in which their groups differ, the only ones whose counts change.
+
+        The demoted candidate passes below the ``s - p - 1`` candidates
+        between them and the promoted one, handing one favored mixed pair
+        each to the promoted candidate's group; each between-candidate's own
+        group gains one pair from the demotion and loses one from the
+        promotion, netting zero. Each of the two groups moves one position.
+        """
+        order = self.order
+        demoted, promoted = order[p], order[s]
+        span = s - p
+        changed = []
+        for e, gid, favored, positions in self._rows:
+            gu, gv = gid[demoted], gid[promoted]
+            if gu == gv:
+                continue
+            favored[gu] -= span
+            favored[gv] += span
+            members = positions[gu]
+            del members[bisect_left(members, p)]
+            insort(members, s)
+            members = positions[gv]
+            del members[bisect_left(members, s)]
+            insort(members, p)
+            changed.append(e)
+        order[p], order[s] = promoted, demoted
+        return changed
+
+    def narrowing(self, e: int, hi: int, lo: int) -> tuple[int, int] | None:
+        """Swap positions moving entity ``e``'s group ``hi`` down past ``lo``: the
+        lowest ``hi`` member with a ``lo`` member beneath it and the nearest one."""
+        highs, lows = self.positions[e][hi], self.positions[e][lo]
+        c = bisect_left(highs, lows[-1]) - 1
+        return None if c < 0 else (highs[c], lows[bisect_right(lows, highs[c])])
+
+    def widening(self, e: int, hi: int, lo: int) -> tuple[int, int] | None:
+        """Swap positions moving entity ``e``'s group ``lo`` down past ``hi``:
+        the top ``lo`` member and the nearest ``hi`` member beneath it."""
+        highs, top = self.positions[e][hi], self.positions[e][lo][0]
+        c = bisect_right(highs, top)
+        return None if c == len(highs) else (top, highs[c])
 
 
 def arp(ranking: Ranking, attribute: str, index: GroupIndex) -> Score:

@@ -288,6 +288,17 @@ class TestScenarioConstruction:
         with pytest.raises(ScenarioUnreachable):
             build_scenario(index, targets, seed=1, restarts=3)
 
+    def test_widening_without_a_pair_restarts(self):
+        # the first swap puts the singleton group x between the two y
+        # members: spread 0, so hi = lo = x, and widening asks for an x
+        # member beneath the only one; there is none, so every restart
+        # ends there (spreads here are only 0 or 1)
+        table = CandidateTable(("a", "b", "c"), ("t",), (("x",), ("y",), ("y",)))
+        index = build_group_index(table, intersection_attrs=None)
+        targets = ScenarioTargets({"t": (Fraction("0.5"), Fraction("0.05"))}, None)
+        with pytest.raises(ScenarioUnreachable):
+            build_scenario(index, targets, seed=1, restarts=3)
+
     @pytest.mark.parametrize("attributes", [(), ("race",)])
     def test_single_cell_intersection_raises(self, attributes):
         # no attribute, or one value shared by all: one intersection cell,

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fairconsensus import (
+    CandidateTable,
     FairnessSpec,
     InconsistentCandidateSet,
     Ranking,
@@ -23,7 +24,7 @@ from fairconsensus import (
     pd_loss,
     price_of_fairness,
 )
-from fairconsensus.metrics import favored_pair_counts, spread_of
+from fairconsensus.metrics import GroupCountTracker, favored_pair_counts, spread_of
 from fairconsensus.model import ALL
 
 import helpers
@@ -124,6 +125,79 @@ class TestSpreads:
         )
         index = build_group_index(table, intersection_attrs=None)
         assert arp(Ranking(("a", "b", "c", "d")), "t", index) == 0
+
+
+def _narrowing_reference(highs, lows):
+    """From every (hi member, lo member below it) position pair: the lowest
+    hi member that has one, paired with the nearest."""
+    pairs = [(p, s) for p in highs for s in lows if p < s]
+    return max(pairs, key=lambda ps: (ps[0], -ps[1]), default=None)
+
+
+def _widening_reference(highs, lows):
+    """The top lo member, paired with the nearest hi member beneath it."""
+    below = [s for s in highs if s > min(lows)]
+    return (min(lows), min(below)) if below else None
+
+
+class TestGroupCountTracker:
+    @given(
+        n=st.integers(4, 40),
+        values=st.lists(st.integers(2, 3), min_size=2, max_size=3),
+        scope=st.sampled_from([ALL, None]),
+        data=st.data(),
+    )
+    def test_matches_fresh_scans_through_random_swaps(self, n, values, scope, data):
+        # a grid: candidate i holds value (i // prod(values[:k])) % values[k]
+        # of attribute k
+        names = tuple(f"a{k}" for k in range(len(values)))
+        rows = []
+        for i in range(n):
+            row, stride = [], 1
+            for v in values:
+                row.append(f"v{(i // stride) % v}")
+                stride *= v
+            rows.append(tuple(row))
+        table = CandidateTable(tuple(f"c{i}" for i in range(n)), names, tuple(rows))
+        index = build_group_index(table, intersection_attrs=scope)
+        entities = index.attribute_entities + (
+            (index.intersection,) if index.intersection is not None else ()
+        )
+        order = list(data.draw(st.permutations(range(n))))
+        tracker = GroupCountTracker(order, entities)
+        assert tracker.order is order
+
+        def check():
+            for e, entity in enumerate(entities):
+                gid, k = entity.gid, len(entity.groups)
+                members = [[p for p in range(n) if gid[order[p]] == g] for g in range(k)]
+                assert tracker.favored[e] == favored_pair_counts(order, gid, k)
+                assert tracker.omegas[e] == [g.mixed_pairs for g in entity.groups]
+                assert tracker.positions[e] == members
+                for hi in range(k):
+                    for lo in range(k):
+                        highs, lows = members[hi], members[lo]
+                        assert tracker.narrowing(e, hi, lo) == _narrowing_reference(
+                            highs, lows
+                        )
+                        assert tracker.widening(e, hi, lo) == _widening_reference(
+                            highs, lows
+                        )
+
+        check()
+        for _ in range(data.draw(st.integers(0, 30))):
+            p = data.draw(st.integers(0, n - 2))
+            s = data.draw(st.integers(p + 1, n - 1))
+            before = list(order)
+            differing = [
+                e
+                for e, entity in enumerate(entities)
+                if entity.gid[before[p]] != entity.gid[before[s]]
+            ]
+            assert tracker.swap(p, s) == differing
+            before[p], before[s] = before[s], before[p]
+            assert order == before
+            check()
 
 
 class TestKendallTau:
