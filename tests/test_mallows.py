@@ -196,8 +196,16 @@ class TestSamplerStreams:
                 (24, 0.0, 500, 2**64 - 1, 37),
                 "7a0cfc40626fcd9c8216767d6ae7d15da8871e8abcd2864a44e3f41e0ee34ffa",
             ),
+            (
+                (127, 0.05, 6000, 11, 4096),
+                "ea0161bb8e59e05b0b4ec2a87e0aa87e428167bdf109f89cee893776bcd79b78",
+            ),
+            (
+                (128, 3.0, 6000, 12, 4096),
+                "089a2feb7288049b67ff1361a97ebec3275bcb371ea95610f40e3e0422ab9139",
+            ),
         ],
-        ids=["deep", "n1200", "theta0"],
+        ids=["deep", "n1200", "theta0", "n127-int8", "n128-int16"],
     )
     def test_pinned_digests(self, shape, expected):
         assert _batch_digest(*shape) == expected
