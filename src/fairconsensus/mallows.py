@@ -16,9 +16,16 @@ output independent of generation order or batching.
 
 A batch decodes one insertion step at a time across all of its rankings
 (Lu & Boutilier, JMLR 2014): every step draws its uniforms as one row,
-finds each ranking's insertion point with one ``searchsorted``, and shifts
-the earlier candidates at or after that point down by one in a small
-position array; one scatter then writes the finished rows.
+finds each ranking's insertion point, and shifts the earlier candidates at
+or after that point down by one in a position array of the narrowest
+integer type that holds n (``int8`` up to n = 127); one scatter then
+writes the finished rows.
+
+A large batch finds its insertion points through a guide table (Chen &
+Asau, AIIE Trans. 1974) instead of a binary search per key: the table
+starts each key at the answer for the bucket edge below it, one pass steps
+it forward once, and only the few keys still short of their answer are
+binary-searched. See ``_GuideTable`` for why this is exact.
 """
 
 from __future__ import annotations
@@ -129,6 +136,72 @@ def _insertion_cumsums(n: int, theta: float) -> list[np.ndarray]:
     return [np.cumsum(powers[i - 1 :: -1]) for i in range(2, n + 1)]
 
 
+#: A step looks its batch up through its guide table only when ``rows *
+#: log2(size) >= _GUIDE_MIN_WORK`` (a binary search costs about log2(size)
+#: per key, the table a fixed cost per step; the two met near 6 000 rows at
+#: size 4, 3 000 at 32, 2 000 at 128 and 1 300 at 2 048 on a 2-core Xeon VM)
+#: and ``rows >= _GUIDE_ROWS_PER_ENTRY * size``, which keeps the tables a
+#: call holds under half the size of one batch's uniforms.
+_GUIDE_MIN_WORK = 14_000
+_GUIDE_ROWS_PER_ENTRY = 4
+
+
+def _guide_pays(rows: int, size: int) -> bool:
+    """Whether a batch of ``rows`` keys should use a table of ``size``."""
+    return (
+        rows * (size.bit_length() - 1) >= _GUIDE_MIN_WORK
+        and rows >= _GUIDE_ROWS_PER_ENTRY * size
+    )
+
+
+class _GuideTable:
+    """Bucket starts for one step's insertion-point lookup.
+
+    The answer for a uniform ``u`` is ``searchsorted(cum[:-1], u * cum[-1],
+    "right")``: how many cumulative weights lie at or below ``u``'s share of
+    the total, capped at the last slot. ``starts[b]`` is that answer at
+    ``u = b / size``. ``size`` is a power of two, so ``b = floor(u * size)`` meets
+    ``b / size <= u`` exactly, and rounding ``u * cum[-1]`` is monotone in
+    ``u``: ``starts[b]`` never passes the key's answer. ``starts`` has
+    ``size + 1`` entries because ``u`` can be exactly 1.0 (a 64-bit word
+    within 2**10 of 2**64 rounds up); ``padded`` ends in ``+inf``, which no
+    key reaches, so a key at the last slot stays there.
+    """
+
+    __slots__ = ("size", "starts", "padded")
+
+    def __init__(self, cum: np.ndarray) -> None:
+        self.size = _guide_size(len(cum))
+        edges = np.arange(self.size + 1) / self.size * cum[-1]
+        self.starts = np.searchsorted(cum[:-1], edges, side="right")
+        self.padded = np.append(cum[:-1], np.inf)
+
+    def lookup(self, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+        x = u * cum[-1]
+        found = self.starts[(u * self.size).astype(np.intp)]
+        padded = self.padded
+        found += padded[found] <= x
+        # still short of the answer after one step forward: binary-search
+        short = np.flatnonzero(padded[found] <= x)
+        if short.size:
+            found[short] = np.searchsorted(cum[:-1], x[short], side="right")
+        return found
+
+
+def _guide_size(length: int) -> int:
+    """The smallest power of two at or above ``length``."""
+    return 1 << (length - 1).bit_length()
+
+
+def _insertion_points(
+    cum: np.ndarray, u: np.ndarray, guide: _GuideTable | None
+) -> np.ndarray:
+    """Each uniform's insertion slot for one step, through ``guide`` if any."""
+    if guide is not None and _guide_pays(len(u), guide.size):
+        return guide.lookup(cum, u)
+    return np.searchsorted(cum[:-1], u * cum[-1], side="right")
+
+
 def iter_ranking_batches(
     modal_indices: Sequence[int],
     theta: float,
@@ -139,24 +212,44 @@ def iter_ranking_batches(
     """Sampled rankings as integer rows (permutations of ``modal_indices``).
 
     Streaming form for large runs: rows arrive in batches and never need to
-    be materialized all at once. A NaN or negative ``theta`` and a
-    ``batch_size`` below 1 raise ``ValueError``.
+    be materialized all at once. A NaN or negative ``theta``, a negative
+    ``num_rankings`` (0 yields nothing) and a ``batch_size`` below 1 raise
+    ``ValueError``.
+
+    Each step finds its batch's insertion points through a guide table
+    (``_GuideTable``, built at most once per call) when the batch is large
+    enough to pay for it (``_guide_pays``), and by one binary search per key
+    otherwise; both give the same slots. Positions are kept in the narrowest
+    of ``int8``/``int16``/``int32`` that holds n, so the per-step shift
+    reads as few bytes as it can.
     """
     _check_theta(theta)
+    if num_rankings < 0:
+        raise ValueError(f"num_rankings must be non-negative, got {num_rankings}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
     modal = np.asarray(modal_indices, dtype=np.int64)
     n = len(modal)
     cums = _insertion_cumsums(n, theta)
-    pos_dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
+    pos_dtype = next(
+        dt for dt in (np.int8, np.int16, np.int32) if n <= np.iinfo(dt).max
+    )
+    # the first batch is the largest, so it decides which steps need a table
+    rows_per_batch = min(batch_size, num_rankings)
+    guides = [
+        _GuideTable(cum)
+        if _guide_pays(rows_per_batch, _guide_size(len(cum)))
+        else None
+        for cum in cums
+    ]
     for start in range(0, num_rankings, batch_size):
         count = min(batch_size, num_rankings - start)
         uniforms = _uniform_matrix(seed, start, count, n - 1)
         # pos[i, r]: where row r currently holds the i-th modal candidate
         pos = np.zeros((n, count), dtype=pos_dtype)
-        for step, cum in enumerate(cums):
-            found = np.searchsorted(cum, uniforms[step] * cum[-1], side="right")
-            point = np.minimum(found, step + 1).astype(pos_dtype)
+        for step, (cum, guide) in enumerate(zip(cums, guides)):
+            # no view of ``uniforms`` outlives the call, so ``del`` frees it
+            point = _insertion_points(cum, uniforms[step], guide).astype(pos_dtype)
             earlier = pos[: step + 1]
             # candidates at or after the insertion point move down one; the
             # int8 view keeps the add on numpy's integer loop, not a bool cast
@@ -250,8 +343,11 @@ def scenario_targets(
     )
 
 
-def _window(target: Fraction, tolerance: Fraction) -> tuple[Fraction, Fraction]:
-    return max(Fraction(0), target - tolerance), min(Fraction(1), target + tolerance)
+def _window(target: Fraction, tolerance: Fraction) -> tuple[int, int, int, int]:
+    """The clipped window ``[lo, hi]`` as ``(lo num, lo den, hi num, hi den)``."""
+    lo = max(Fraction(0), target - tolerance)
+    hi = min(Fraction(1), target + tolerance)
+    return lo.numerator, lo.denominator, hi.numerator, hi.denominator
 
 
 def build_scenario(
@@ -276,7 +372,7 @@ def build_scenario(
     table = index.table
     n = table.n
 
-    jobs: list[tuple[Entity, Fraction, Fraction]] = []
+    jobs: list[tuple[Entity, int, int, int, int]] = []
     if targets.irp is not None:
         if index.intersection is None:
             raise DegenerateIntersection(
@@ -313,26 +409,28 @@ def build_scenario(
             SplitMix64(derive_seed(seed, attempt)).shuffle(cell_order)
         cell_rank = {c: r for r, c in enumerate(cell_order)}
         order = sorted(range(n), key=lambda c: (cell_rank[cell_of[c]], c))
-        tracker = GroupCountTracker(order, [entity for entity, _, _ in jobs])
+        tracker = GroupCountTracker(order, [job[0] for job in jobs])
 
         for _ in range(80 * n + 400):
-            worst = None  # (excess, move, job position, hi, lo)
-            for j, (_, lo_bound, hi_bound) in enumerate(jobs):
+            # (excess numerator, excess denominator, move, job position, hi, lo)
+            worst = None
+            for j, (_, lo_num, lo_den, hi_num, hi_den) in enumerate(jobs):
                 num, den, hi, lo = spread_of(tracker.favored[j], tracker.omegas[j])
-                spread = Fraction(num, den)
-                if spread > hi_bound:
-                    excess = spread - hi_bound
+                # how far num / den lies outside its window, compared by
+                # cross-multiplication as the repair does (den > 0)
+                if num * hi_den > hi_num * den:
+                    ex_num, ex_den = num * hi_den - hi_num * den, den * hi_den
                     move = tracker.narrowing
-                elif spread < lo_bound:
-                    excess = lo_bound - spread
+                elif num * lo_den < lo_num * den:
+                    ex_num, ex_den = lo_num * den - num * lo_den, den * lo_den
                     move = tracker.widening
                 else:
                     continue
-                if worst is None or excess > worst[0]:
-                    worst = (excess, move, j, hi, lo)
+                if worst is None or ex_num * worst[1] > worst[0] * ex_den:
+                    worst = (ex_num, ex_den, move, j, hi, lo)
             if worst is None:
                 return Ranking(tuple(table.candidate_ids[i] for i in order))
-            _, move, j, hi, lo = worst
+            _, _, move, j, hi, lo = worst
             pair = move(j, hi, lo)
             if pair is None:
                 break  # no legal move; try a fresh start

@@ -11,6 +11,9 @@ from fairconsensus import Ranking, RankingSet
 
 import helpers
 
+# the ``pytester`` fixture runs a nested session under the repo's settings
+pytest_plugins = ["pytester"]
+
 # Property tests draw the same examples on every run, and no example is
 # failed for its wall time (a first numpy call can take longer than the
 # default deadline on a slow machine).

@@ -32,6 +32,7 @@ from fairconsensus import (
     sample_mallows,
     scenario_targets,
 )
+from fairconsensus.mallows import _GuideTable, _insertion_cumsums, _uniform_matrix
 from fairconsensus.model import ALL
 
 import helpers
@@ -166,6 +167,9 @@ class TestSampling:
             next(iter_ranking_batches(range(3), float("nan"), 5, 0))
         with pytest.raises(ValueError):
             next(iter_ranking_batches(range(3), -1.0, 5, 0))
+        with pytest.raises(ValueError, match="num_rankings"):
+            next(iter_ranking_batches(range(3), 0.5, -1, 0))
+        assert list(iter_ranking_batches(range(3), 0.5, 0, 0)) == []
 
 
 def _batch_digest(n, theta, num_rankings, seed, batch_size):
@@ -232,6 +236,45 @@ class TestSamplerStreams:
         assert all(b.dtype == np.int64 and b.shape[1] == n for b in batches)
         rows = [row for b in batches for row in b.tolist()]
         assert rows == helpers.reference_mallows(modal, theta, num_rankings, seed)
+
+
+def _clamped_search(cum, u):
+    """The insertion slot as one binary search over the whole ``cum``."""
+    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), len(cum) - 1)
+
+
+class TestGuideTable:
+    """The guide-table lookup gives each key its binary-search slot."""
+
+    @given(
+        n=st.integers(2, 160),
+        theta=st.one_of(
+            st.sampled_from([0.0, 1e-9, 40.0, math.inf]),
+            st.floats(0, 3, exclude_min=True, exclude_max=True),
+        ),
+        data=st.data(),
+    )
+    def test_matches_binary_search(self, n, theta, data):
+        # large theta underflows the small weights to 0: leading zeros and
+        # ties in cum, on which "right" and "left" searches differ
+        cums = _insertion_cumsums(n, theta)
+        cum = cums[data.draw(st.integers(0, len(cums) - 1))]
+        guide = _GuideTable(cum)
+        size = guide.size
+        assert size >= len(cum) and size & (size - 1) == 0
+        edges = np.arange(size + 1) / size
+        assert np.array_equal(guide.starts, _clamped_search(cum, edges))
+        bucket = np.array(data.draw(st.lists(st.integers(0, size), max_size=20)))
+        u = np.concatenate(
+            [
+                [0.0, 1.0, np.nextafter(1.0, 0.0)],
+                bucket / size,  # on a bucket edge
+                np.nextafter(bucket / size, -1.0).clip(0.0),  # just below one
+                data.draw(st.lists(st.floats(0, 1), max_size=50)),
+                _uniform_matrix(data.draw(st.integers(0, 2**64 - 1)), 0, 2000, 1)[0],
+            ]
+        )
+        assert np.array_equal(guide.lookup(cum, u), _clamped_search(cum, u))
 
 
 class TestMixedBlockModal:
