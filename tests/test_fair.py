@@ -201,7 +201,8 @@ class TestRepairWalkPinned:
     """The walk itself, not just its postcondition: the output order, every
     swap and the iteration count are pinned by sha256. The digests were
     recorded with the Fenwick-tree walk this module used before sorted
-    position lists replaced it."""
+    position lists replaced it; ``test_unequal_cells`` was recorded with
+    the sorted-list walk before the tracker kept spreads current."""
 
     def test_wide_shape(self):
         table = helpers.grid_table(400, 2, 2)
@@ -215,6 +216,22 @@ class TestRepairWalkPinned:
         outcome = _walk_outcome(consensus, spec, index)
         assert outcome[2] == 8189
         assert _sha(outcome) == WIDE_DIGEST
+
+    def test_unequal_cells(self):
+        # 301 candidates on a 3x2 grid: cells of 51 and 50, so no entity's
+        # groups share one mixed-pair count, and the intersection walk
+        # moves members past others of their race
+        table = helpers.grid_table(301, 3, 2)
+        spec = FairnessSpec(delta_default=Fraction(1, 10))
+        index = spec.build_index(table)
+        modal = mixed_block_modal(index, 0.5)
+        consensus = borda_streamed(
+            iter_ranking_batches(modal.to_indices(table), 1.0, 20, seed=5, batch_size=20),
+            table,
+        )
+        outcome = _walk_outcome(consensus, spec, index)
+        assert outcome[2] == 3564
+        assert _sha(outcome) == UNEQUAL_CELLS_DIGEST
 
     def test_attributes_without_intersection(self):
         # race and gender only: the walk scans for a swap pair that agrees
@@ -276,6 +293,7 @@ class TestRepairWalkPinned:
 
 
 WIDE_DIGEST = "3e18f3ac278968e25585cc532a8d575224b932fe0e3ba961d33f669b5ba977a1"
+UNEQUAL_CELLS_DIGEST = "a56cfdb96ddcabbc6d2dc0675a89b850fa7e48c37d4b84289c11c8f0ac457334"
 NO_INTERSECTION_DIGEST = "0db4f6a81e83e6ef032e5c7f19f0e10902f70094dba165111b8e9dba02ec7551"
 TIED_DIGEST = "72cd2cf7128ec278a97d98b45f687d596ef3bdd85c1e8afe545c4a6ba91f940a"
 ODD_PARITY_DIGEST = "f3a2f91c035672597a3748b728a3062d255ae1405760494d884151c0b3309588"
