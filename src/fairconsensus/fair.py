@@ -49,7 +49,6 @@ from .metrics import (
     entity_spread,
     evaluate_fairness,
     pd_loss,
-    spread_of,
 )
 from .model import (
     Entity,
@@ -90,20 +89,17 @@ def _order_satisfies(
     return True
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _RepairEntity:
     """One enabled entity in the swap repair: its threshold, what its swap
-    pairs must agree on, its cached spread, and its tracker lists."""
+    pairs must agree on, and its tracker lists."""
 
     entity: Entity
     dnum: int
     dden: int
-    favored: list[int]
-    omegas: list[int]
     positions: list[list[int]]
     other_gids: list[tuple[int, ...]] = field(default_factory=list)
     can_be_clean: bool = False
-    spread: tuple[int, int, int, int] = (0, 1, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -143,11 +139,14 @@ def repair_ranking(
     unvisited swaps. The default cap of ``2 * n**2`` swaps bounds the walk
     regardless; ``max_swaps`` must be a non-negative ``int``.
 
-    A ``GroupCountTracker`` keeps the counts and each group's sorted member
-    positions: pairing a member with its partner costs O(log n), and a swap
-    moves one position in two sorted lists of each entity it changes, an
-    O(n) memmove in C per list. Scores compare by integer cross-products,
-    recomputed only for the entities the tracker reports the swap changed.
+    A ``GroupCountTracker`` keeps the counts, the spreads and each group's
+    sorted member positions: pairing a member with its partner costs
+    O(log n), and a swap moves one position in two sorted lists of each
+    entity it changes, in place when it passes no member of the moved group
+    (every adjacent swap), else by an O(n) memmove in C per list. The
+    tracker recomputes a spread only for the entities a swap changed,
+    mostly in closed form; the violated entities are then taken lazily,
+    largest spread first, comparing integer cross-products.
     """
     _check_count(max_swaps, "max_swaps")
     table = index.table
@@ -159,11 +158,10 @@ def repair_ranking(
 
     order = ranking.to_indices(table)
     tracker = GroupCountTracker(order, [entity for entity, _ in pairs])
+    spreads = tracker.spreads
     ents = [
-        _RepairEntity(entity, delta.numerator, delta.denominator, *lists)
-        for (entity, delta), *lists in zip(
-            pairs, tracker.favored, tracker.omegas, tracker.positions
-        )
+        _RepairEntity(entity, delta.numerator, delta.denominator, positions)
+        for (entity, delta), positions in zip(pairs, tracker.positions)
     ]
     for ent in ents:
         ent.other_gids = [o.entity.gid for o in ents if o is not ent]
@@ -186,31 +184,27 @@ def repair_ranking(
 
     swaps: list[tuple[str, str, str]] = []
     iterations = 0
-    dirty = range(len(ents))  # indices of the entities whose spread is stale
     while True:
-        for e in dirty:
-            ent = ents[e]
-            ent.spread = spread_of(ent.favored, ent.omegas)
-        # out-of-threshold entities, largest spread first; equal spreads
-        # keep priority order
-        violated: list[_RepairEntity] = []
-        for ent in ents:
-            num, den, _, _ = ent.spread
-            if num * ent.dden <= ent.dnum * den:
-                continue  # within threshold
-            at = len(violated)
-            while at and violated[at - 1].spread[0] * den < num * violated[at - 1].spread[1]:
-                at -= 1
-            violated.insert(at, ent)
-        if not violated:
-            break
-        if iterations >= cap:
-            raise RepairStalled(
-                f"fairness repair did not converge within {cap} swaps"
-            )
+        # Take the violated entity with the largest spread (the earliest on
+        # equal spreads), and the next largest only when it has no legal,
+        # unvisited swap pair.
         chosen = None
-        for ent in violated:
-            _, _, hi, lo = ent.spread
+        tried: list[_RepairEntity] = []
+        while chosen is None:
+            ent = None
+            for other, (num, den, high, low) in zip(ents, spreads):
+                if (
+                    num * other.dden > other.dnum * den
+                    and (ent is None or num * top_den > top_num * den)
+                    and other not in tried
+                ):
+                    ent, top_num, top_den, hi, lo = other, num, den, high, low
+            if ent is None:
+                break
+            if iterations >= cap:
+                raise RepairStalled(
+                    f"fairness repair did not converge within {cap} swaps"
+                )
             highs, lows = ent.positions[hi], ent.positions[lo]
             want_clean = ent.can_be_clean
             other_gids = ent.other_gids
@@ -231,30 +225,30 @@ def repair_ranking(
                 if next_hash in seen_orders:
                     continue
                 if fallback is None:
-                    fallback = (ent, p0, s0, next_hash)
+                    fallback = (p0, s0, next_hash)
                     if not want_clean:
                         break
                 scanned += 1
                 if want_clean and all(
                     g[demoted] == g[promoted] for g in other_gids
                 ):
-                    chosen = (ent, p0, s0, next_hash)
+                    chosen = (p0, s0, next_hash)
                     break
                 if scanned >= 48:
                     break  # bounded scan; settle for the first legal pair
-            if chosen is None and fallback is not None:
-                chosen = fallback
-            if chosen is not None:
-                break
+            chosen = chosen or fallback
+            tried.append(ent)
         if chosen is None:
+            if not tried:
+                break  # every enabled spread is within its threshold
             raise RepairStalled(
                 "fairness repair cycled: every violated entity's swap would"
                 " revisit an earlier order or has no legal pair left"
             )
-        ent, p0, s0, order_hash = chosen
+        p0, s0, order_hash = chosen
         if len(seen_orders) < max_seen:
             seen_orders.add(order_hash)
-        dirty = tracker.swap(p0, s0)
+        tracker.swap(p0, s0)
         iterations += 1
         if collect_swaps:
             # the swap put the demoted candidate at s0, the promoted one at p0

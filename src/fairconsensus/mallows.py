@@ -37,7 +37,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateIntersection, ScenarioUnreachable, UnknownAttribute
-from .metrics import GroupCountTracker, spread_of
+from .metrics import GroupCountTracker
 from .model import Entity, GroupIndex, Ranking, RankingSet
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -363,11 +363,13 @@ def build_scenario(
     out contiguously, attribute-major), then walks scores into their
     windows one pairwise swap at a time: repair-style swaps shrink a spread
     that sits above its window, mirrored swaps widen one that sits below.
-    A ``GroupCountTracker`` finds and makes both, so each costs O(log n)
-    plus a list memmove. Each restart reshuffles the starting block order
-    with a seeded stream and makes at most ``80 * n + 400`` swaps; if no
-    restart lands in every window the scenario is unreachable. An
-    intersection window needs at least two intersection cells to compare.
+    A ``GroupCountTracker`` finds and makes both and keeps every spread
+    current, so each costs O(log n), plus a list memmove when the swap
+    passes a member of a moved group. Each restart reshuffles the starting
+    block order with a seeded stream and makes at most ``80 * n + 400``
+    swaps; if no restart lands in every window the scenario is
+    unreachable. An intersection window needs at least two intersection
+    cells to compare.
     """
     table = index.table
     n = table.n
@@ -415,7 +417,7 @@ def build_scenario(
             # (excess numerator, excess denominator, move, job position, hi, lo)
             worst = None
             for j, (_, lo_num, lo_den, hi_num, hi_den) in enumerate(jobs):
-                num, den, hi, lo = spread_of(tracker.favored[j], tracker.omegas[j])
+                num, den, hi, lo = tracker.spreads[j]
                 # how far num / den lies outside its window, compared by
                 # cross-multiplication as the repair does (den > 0)
                 if num * hi_den > hi_num * den:

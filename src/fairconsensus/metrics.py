@@ -104,22 +104,29 @@ def entity_spread(order: Sequence[int], entity: Entity) -> tuple[int, int, int, 
 
 
 class GroupCountTracker:
-    """Favored counts and sorted member positions of some entities, kept
-    current while ``order`` (candidate indices, top-down) changes by swaps:
-    ``spread_of(favored[e], omegas[e])`` is entity ``e``'s spread, and
-    ``positions[e][g]`` lists group ``g``'s member positions, ascending."""
+    """Favored counts, spreads and sorted member positions of some entities,
+    kept current while ``order`` (candidate indices, top-down) changes by
+    swaps: ``spreads[e]`` is ``spread_of(favored[e], omegas[e])``, entity
+    ``e``'s spread, and ``positions[e][g]`` lists group ``g``'s member
+    positions, ascending."""
 
-    __slots__ = ("order", "favored", "omegas", "positions", "_rows")
+    __slots__ = ("order", "favored", "omegas", "positions", "spreads", "_rows")
 
     def __init__(self, order: list[int], entities: Sequence[Entity]) -> None:
         self.order = order
         self.favored = [favored_pair_counts(order, e.gid, len(e.groups)) for e in entities]
         self.omegas = [[g.mixed_pairs for g in e.groups] for e in entities]
         self.positions = [[[] for _ in e.groups] for e in entities]
-        # one row per entity, so that a swap unpacks instead of indexing
+        self.spreads = list(map(spread_of, self.favored, self.omegas))
+        # one row per entity, so that a swap unpacks instead of indexing;
+        # ``form`` names the closed form of its spread: 2 for two groups,
+        # 1 for groups sharing one mixed-pair count, 0 for ``spread_of``
+        forms = [2 if len(w) == 2 else int(len(set(w)) == 1) for w in self.omegas]
         gids = [e.gid for e in entities]
-        self._rows = list(zip(count(), gids, self.favored, self.positions))
-        for _, gid, _, positions in self._rows:
+        self._rows = list(
+            zip(count(), gids, self.favored, self.omegas, self.positions, forms)
+        )
+        for _, gid, _, _, positions, _ in self._rows:
             for p, c in enumerate(order):
                 positions[gid[c]].append(p)
 
@@ -131,24 +138,56 @@ class GroupCountTracker:
         between them and the promoted one, handing one favored mixed pair
         each to the promoted candidate's group; each between-candidate's own
         group gains one pair from the demotion and loses one from the
-        promotion, netting zero. Each of the two groups moves one position.
+        promotion, netting zero. Each of the two groups moves one position:
+        in place (a bisect and a store) when no member of its group lies
+        between ``p`` and ``s``, else by a delete and an insort, an O(n)
+        memmove in C. The spread is recomputed from the new counts: by one
+        cross-product for two groups, by ``max``/``min`` for groups of one
+        mixed-pair count, else by ``spread_of``; each returns exactly what
+        ``spread_of`` does.
         """
         order = self.order
+        spreads = self.spreads
         demoted, promoted = order[p], order[s]
         span = s - p
         changed = []
-        for e, gid, favored, positions in self._rows:
+        for e, gid, favored, omegas, positions, form in self._rows:
             gu, gv = gid[demoted], gid[promoted]
             if gu == gv:
                 continue
             favored[gu] -= span
             favored[gv] += span
             members = positions[gu]
-            del members[bisect_left(members, p)]
-            insort(members, s)
+            i = bisect_left(members, p)
+            if i + 1 < len(members) and members[i + 1] < s:
+                del members[i]
+                insort(members, s)
+            else:
+                members[i] = s
             members = positions[gv]
-            del members[bisect_left(members, s)]
-            insort(members, p)
+            i = bisect_left(members, s)
+            if i and members[i - 1] > p:
+                del members[i]
+                insort(members, p)
+            else:
+                members[i] = p
+            if form == 2:
+                w0, w1 = omegas
+                up, down = favored[1] * w0, favored[0] * w1
+                if up > down:
+                    spreads[e] = (up - down, w0 * w1, 1, 0)
+                elif up < down:
+                    spreads[e] = (down - up, w0 * w1, 0, 1)
+                else:
+                    spreads[e] = (0, w0 * w0, 0, 0)
+            elif form:
+                w = omegas[0]
+                top, bottom = max(favored), min(favored)
+                spreads[e] = (
+                    (top - bottom) * w, w * w, favored.index(top), favored.index(bottom)
+                )
+            else:
+                spreads[e] = spread_of(favored, omegas)
             changed.append(e)
         order[p], order[s] = promoted, demoted
         return changed

@@ -33,7 +33,7 @@ from fairconsensus import (
     repair_ranking,
 )
 from fairconsensus.errors import RepairStalled
-from fairconsensus.fair import enabled_entities
+from fairconsensus.fair import _order_satisfies, enabled_entities
 from fairconsensus.metrics import entity_spread
 from fairconsensus.model import ALL
 
@@ -152,6 +152,47 @@ class TestRepair:
         for demoted, promoted, _entity in trace.swaps:
             i, j = replay.index(demoted), replay.index(promoted)
             assert i < j, "a swap always promotes a candidate from below"
+            replay[i], replay[j] = replay[j], replay[i]
+        assert tuple(replay) == repaired.order
+
+    @given(data=st.data())
+    def test_property_postcondition_or_stalled(self, data):
+        # groups of any sizes, per-entity thresholds and an intersection
+        # over all attributes, a subset or none
+        n = data.draw(st.integers(6, 30), label="n")
+        attributes = ("a", "b", "c")[: data.draw(st.integers(1, 3), label="attributes")]
+        rows = tuple(
+            tuple(f"v{data.draw(st.integers(0, 2))}" for _ in attributes)
+            for _ in range(n)
+        )
+        table = CandidateTable(tuple(f"c{i}" for i in range(n)), attributes, rows)
+        thresholds = st.fractions(min_value=0, max_value=1, max_denominator=10)
+        spec = FairnessSpec(
+            delta_default=data.draw(thresholds, label="delta"),
+            delta_attributes={
+                name: data.draw(thresholds)
+                for name in attributes
+                if data.draw(st.booleans())
+            },
+            delta_intersection=data.draw(st.none() | thresholds),
+            intersection_attrs=data.draw(
+                st.sampled_from([ALL, None, attributes[:1], attributes[-2:]]),
+                label="scope",
+            ),
+        )
+        index = spec.build_index(table)
+        ranking = Ranking(
+            tuple(data.draw(st.permutations(table.candidate_ids), label="ranking"))
+        )
+        try:
+            repaired, trace = repair_ranking(ranking, spec, index)
+        except RepairStalled:
+            return
+        assert _order_satisfies(repaired.to_indices(table), enabled_entities(spec, index))
+        assert trace.iterations == len(trace.swaps)
+        replay = list(ranking.order)
+        for demoted, promoted, _entity in trace.swaps:
+            i, j = replay.index(demoted), replay.index(promoted)
             replay[i], replay[j] = replay[j], replay[i]
         assert tuple(replay) == repaired.order
 

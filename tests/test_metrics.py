@@ -24,7 +24,12 @@ from fairconsensus import (
     pd_loss,
     price_of_fairness,
 )
-from fairconsensus.metrics import GroupCountTracker, favored_pair_counts, spread_of
+from fairconsensus.metrics import (
+    GroupCountTracker,
+    entity_spread,
+    favored_pair_counts,
+    spread_of,
+)
 from fairconsensus.model import ALL
 
 import helpers
@@ -174,6 +179,7 @@ class TestGroupCountTracker:
                 assert tracker.favored[e] == favored_pair_counts(order, gid, k)
                 assert tracker.omegas[e] == [g.mixed_pairs for g in entity.groups]
                 assert tracker.positions[e] == members
+                assert tracker.spreads[e] == entity_spread(order, entity)
                 for hi in range(k):
                     for lo in range(k):
                         highs, lows = members[hi], members[lo]
