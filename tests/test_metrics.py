@@ -195,12 +195,7 @@ class TestGroupCountTracker:
             p = data.draw(st.integers(0, n - 2))
             s = data.draw(st.integers(p + 1, n - 1))
             before = list(order)
-            differing = [
-                e
-                for e, entity in enumerate(entities)
-                if entity.gid[before[p]] != entity.gid[before[s]]
-            ]
-            assert tracker.swap(p, s) == differing
+            tracker.swap(p, s)
             before[p], before[s] = before[s], before[p]
             assert order == before
             check()
