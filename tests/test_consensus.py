@@ -369,15 +369,18 @@ class TestFairnessAwareBaselines:
         assert actual.objective == expected.objective
 
 
-def _blocked_matrix(table, theta, seed, voters=40):
+def _blocked_matrix(table, theta, seed, voters=40, scale=1):
     """Precedence matrix of Mallows votes around the order that lists
     candidates by their attribute values: every group in one block, so the
-    unconstrained optimum is as unfair as it gets and the cut binds."""
+    unconstrained optimum is as unfair as it gets and the cut binds. Every
+    vote weighs ``scale``."""
     modal = sorted(range(table.n), key=lambda i: (table.values[i], i))
     config = MallowsConfig(
         Ranking(tuple(table.candidate_ids[i] for i in modal)), theta, voters, seed
     )
-    return build_precedence_matrix(sample_mallows(config), table)
+    votes = sample_mallows(config)
+    weighted = RankingSet(votes.rankings, tuple(w * scale for w in votes.weights))
+    return build_precedence_matrix(weighted, table)
 
 
 def _searched(pm, spec, index, max_nodes):
@@ -409,7 +412,8 @@ class TestSearchWalkPinned:
     group count in place around every child, before the feasibility cut was
     memoized over count states; ``NO_INCUMBENT_DIGEST`` with the memoized
     cut, while every node still summed each child's cost afresh and sorted
-    all its children."""
+    all its children; ``HUGE_WEIGHTS_DIGEST`` and ``DEGENERATE_DIGEST`` while
+    each node carried its costs and minima as two separate lists."""
 
     @pytest.mark.parametrize("state_cap", [None, 0, 64])
     def test_desk_shape(self, monkeypatch, state_cap):
@@ -513,6 +517,47 @@ class TestSearchWalkPinned:
         assert all(o[3] for o in outcomes)
         assert _sha(outcomes) == UNCONSTRAINED_DIGEST
 
+    def test_weights_beyond_int64(self):
+        # every vote weighs 10**20, so the row sums and every running sum
+        # need more than 64 bits: capped walks with and without constraints
+        table = helpers.grid_table(12, 3, 2)
+        spec = FairnessSpec(delta_default=Fraction(1, 10))
+        index = spec.build_index(table)
+        huge = _blocked_matrix(table, 0.5, 23, scale=10**20)
+        assert huge.matrix.dtype == object
+        free_table = helpers.grid_table(17, 2, 2)
+        votes = helpers.random_ranking_set(free_table, 41, random.Random(9))
+        free = build_precedence_matrix(
+            RankingSet(votes.rankings, (10**20,) * votes.size), free_table
+        )
+        wm = free.cost_lists()
+        assert max(map(max, wm)) > 2**64
+        solution = kemeny_exact(free)
+        outcomes = [
+            _searched(huge, spec, index, 1_500),
+            prefix_branch_and_bound(wm, max_nodes=450),
+            (solution.ranking.order, solution.objective, solution.nodes_explored),
+        ]
+        assert _sha(outcomes) == HUGE_WEIGHTS_DIGEST
+
+    def test_degenerate_matrices(self):
+        # all-zero weights, with and without constraints; one candidate;
+        # no candidates
+        table = helpers.grid_table(8, 2, 2)
+        spec = FairnessSpec(delta_default=Fraction(1, 4))
+        constraints = enabled_entities(spec, spec.build_index(table))
+        zeros = [[0] * 8 for _ in range(8)]
+        outcomes = [
+            prefix_branch_and_bound(zeros, constraints=constraints, max_nodes=500),
+            prefix_branch_and_bound(zeros, max_nodes=500),
+            prefix_branch_and_bound(zeros, incumbent_order=list(range(8))),
+            prefix_branch_and_bound([[0]]),
+            prefix_branch_and_bound([[0]], incumbent_order=[0]),
+            prefix_branch_and_bound([]),
+        ]
+        assert outcomes[3:] == [([0], 0, True, 2), ([0], 0, True, 1), ([], 0, True, 1)]
+        assert _sha(outcomes) == DEGENERATE_DIGEST
+
 
 DESK_NODES = 8030
 DESK_DIGEST = "4f35c8009ba213936be13fcac731132da2c5e720a0ff572e390a495d16148154"
@@ -522,3 +567,5 @@ ZERO_DELTA_DIGEST = "07620813da84a31cf3884da98685ee0122494c46b0522ac50575f65a619
 NO_INTERSECTION_DIGEST = "bc85890ac82a542258261ceeb427f7b577ac2953e810bb31dd20a71d840dbed7"
 NO_INCUMBENT_DIGEST = "761f93360555b50dbd637e2336d392fd7e4887b4ebec0dd6b8caa48723bdec60"
 UNCONSTRAINED_DIGEST = "83873c06b74208d3926a5ab5e98486fe6ca9d482418a20192a91a70ef176b4c6"
+HUGE_WEIGHTS_DIGEST = "6be703ce70ae12ad988324b3e285b4d3bb815c3f488131d66c8e704bb82f7932"
+DEGENERATE_DIGEST = "6c059f1ab19c24a39be154ba8cc05216090f3b7e3d47cffe0b6184ba07c09790"
