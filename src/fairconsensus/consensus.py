@@ -5,9 +5,13 @@ next to an exact Kemeny solver realized as a depth-first branch-and-bound
 over ranking prefixes. The same search engine optionally enforces fairness
 constraints; the fair front-end lives in the fair-consensus module. Each
 node of the search carries, beside its remaining candidates, every
-candidate's cost and bound term against the rest as running sums, so a
-child's sums come from its parent's in one pass. Children the bound or the
-feasibility cut rules out are dropped before the survivors are sorted.
+candidate's cost and bound term against the rest as one running sum: the
+two are packed into disjoint bit fields of one Python int, which a
+subtraction never borrows across because both fields stay non-negative and
+the low one never outgrows its root value. A child's sums come from its
+parent's in one pass, and the bound reads one compare per candidate.
+Children the bound or the feasibility cut rules out are dropped before the
+survivors are sorted.
 Under constraints the search carries interned group-count states down the
 prefix: the feasibility cut reads only a state's counts, so it runs once
 per distinct state, and each state memoizes where placing a candidate of
@@ -20,6 +24,7 @@ strictly better leaf becomes the new incumbent.
 
 from __future__ import annotations
 
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -69,8 +74,10 @@ def resolve_budget_ms(time_budget_ms: int | None) -> int | None:
     """Explicit budget wins; otherwise the environment default, else none.
 
     The one reader of ``FAIRCONSENSUS_BUDGET_MS``: a value that is not an
-    integer >= 0 raises ``ParseError`` naming the variable.
+    integer >= 0 raises ``ParseError`` naming the variable. An explicit
+    budget must be ``None`` or a non-negative ``int``, else ``ValueError``.
     """
+    _check_count(time_budget_ms, "time_budget_ms")
     if time_budget_ms is not None:
         return time_budget_ms
     raw = os.environ.get(BUDGET_ENV_VAR)
@@ -153,6 +160,30 @@ def _check_count(value: int | None, what: str) -> None:
         raise ValueError(f"{what} must be a non-negative int, got {value!r}")
 
 
+def _check_weights(wm: Sequence[Sequence[int]]) -> list[list[int]]:
+    """``wm`` as rows of Python ints; ``ValueError`` unless it is square and
+    every entry is a non-negative integer (numpy ints convert, ``bool`` and
+    floats do not)."""
+    n = len(wm)
+    rows = []
+    for i, row in enumerate(wm):
+        try:
+            values = [operator.index(v) for v in row]
+        except TypeError:
+            values = None
+        if (
+            values is None
+            or len(values) != n
+            or min(values, default=0) < 0
+            or any(isinstance(v, bool) for v in row)
+        ):
+            raise ValueError(
+                f"wm must be a square matrix of non-negative ints, got row {i}: {row!r}"
+            )
+        rows.append(values)
+    return rows
+
+
 def _check_order(order: Sequence[int] | None, n: int) -> None:
     if order is not None and (
         len(order) != n
@@ -179,6 +210,11 @@ def prefix_branch_and_bound(
     from each entity. ``incumbent_order``, when given, must be a permutation
     of ``range(len(wm))``; its objective is computed here.
 
+    ``wm`` must be square with non-negative integer entries, of any size;
+    numpy ints are taken as Python ints, and anything else (a ragged row, a
+    negative entry, a float, a ``bool``) raises ``ValueError`` before any
+    search.
+
     Returns ``(best_order, best_objective, completed, nodes)``. The search
     fixes the ranking top-down; placing candidate ``c`` before the
     remaining set costs ``sum(wm[c][r])`` and the admissible bound on any
@@ -187,11 +223,21 @@ def prefix_branch_and_bound(
     prefix and a node is cut as soon as some spread can no longer land
     within its threshold, no matter how the remainder is ordered.
 
-    Both sums are running totals: a node holds, aligned with its remaining
-    candidates, each one's cost ``sum(wm[c][r])`` and minima
-    ``sum(mins[c][r])`` over the remaining set. The root takes row sums;
-    placing ``c`` subtracts column ``c`` and drops ``c``, one pass per
-    child instead of one per pair at every node. Before sorting, a node
+    Both sums are running totals, packed into one int per candidate: a
+    node holds, aligned with its remaining candidates, ``v = (gap << shift)
+    + dmin``, where ``dmin`` is the candidate's minima ``sum(mins[c][r])``
+    over the remaining set, ``gap`` its cost ``sum(wm[c][r])`` less
+    ``dmin``, and ``shift`` the bit length of the largest root row sum of
+    ``mins``. The root packs row sums; placing ``c`` subtracts the packed
+    column ``c`` and drops ``c``, one pass per child instead of one per
+    pair at every node. Both fields are sums of non-negative terms over
+    the remaining set, and ``dmin`` never exceeds its root value, which is
+    below ``2**shift``, so a subtraction never borrows across the fields.
+    A child ``c`` is cut when ``cost + inc + lb - dmin`` reaches the
+    incumbent, that is when ``gap >= room`` for the integer ``room =
+    best - cost - lb``, and that holds exactly when ``v >= room << shift``:
+    one compare per candidate, with ``inc = gap + dmin`` and ``dmin``
+    unpacked only for the children that pass. Before sorting, a node
     drops each child the bound already cuts and each child whose count
     state the feasibility cut rules out. Neither changes the walk: the
     incumbent only improves, so a child cut now would be cut at its turn,
@@ -220,12 +266,20 @@ def prefix_branch_and_bound(
     ``None`` or a non-negative ``int``.
     """
     _check_count(max_nodes, "max_nodes")
+    wm = _check_weights(wm)
     n = len(wm)
     _check_order(incumbent_order, n)
     mins = [[min(wm[a][b], wm[b][a]) for b in range(n)] for a in range(n)]
-    # column `c` of the cost matrix; `mins` is symmetric, its rows serve
-    cols = [list(col) for col in zip(*wm)]
     full_lb = sum(mins[a][b] for a in range(n) for b in range(a + 1, n))
+    # no candidate's minima against the rest outgrow `shift` bits
+    shift = max(map(sum, mins), default=0).bit_length()
+    low = (1 << shift) - 1
+    # `packed[c][r]`: what placing `c` takes from `r`'s packed running sum;
+    # `mins` is symmetric
+    packed = [
+        [((wm[r][c] - mins[c][r]) << shift) + mins[c][r] for r in range(n)]
+        for c in range(n)
+    ]
 
     best_order = list(incumbent_order) if incumbent_order is not None else None
     best_obj = ranking_objective(wm, best_order) if best_order is not None else None
@@ -369,8 +423,7 @@ def prefix_branch_and_bound(
 
     def rec(
         rem: list[int],
-        incs: list[int],
-        dmins: list[int],
+        vals: list[int],
         mask: int,
         cost: int,
         lb: int,
@@ -399,24 +452,23 @@ def prefix_branch_and_bound(
         # be skipped at their turn too, so they never reach the sort
         size = len(rem)
         successors = state.next
-        room = None if best_obj is None else best_obj - cost - lb
+        bar = None if best_obj is None else (best_obj - cost - lb) << shift
         children = []
-        for k, c in enumerate(rem):
-            inc = incs[k]
-            dmin = dmins[k]
-            if room is not None and inc - dmin >= room:
+        for k, v in enumerate(vals):
+            if bar is not None and v >= bar:
                 continue
+            c = rem[k]
             s = sig[c]
             child = successors[s]
             if child is None:
                 child = successor(state, s, size)
             if child is not False:
-                children.append((inc, c, k, child))
+                children.append(((v >> shift) + (v & low), c, k, child))
         children.sort()
 
         for inc, c, k, child in children:
             cost_child = cost + inc
-            lb_child = lb - dmins[k]
+            lb_child = lb - (vals[k] & low)
             if best_obj is not None and cost_child + lb_child >= best_obj:
                 continue
             if last >= 0 and wm[last][c] > wm[c][last] and sig[last] == sig[c]:
@@ -424,17 +476,14 @@ def prefix_branch_and_bound(
                 # safe to rely on when it cannot change any group's favored
                 # counts: the pair shares one signature
                 continue
-            col_w = cols[c]
-            col_m = mins[c]
+            col = packed[c]
             child_rem = rem[:]
-            child_incs = [i - col_w[r] for r, i in zip(rem, incs)]
-            child_dmins = [d - col_m[r] for r, d in zip(rem, dmins)]
-            del child_rem[k], child_incs[k], child_dmins[k]
+            child_vals = [v - col[r] for r, v in zip(rem, vals)]
+            del child_rem[k], child_vals[k]
             prefix.append(c)
             rec(
                 child_rem,
-                child_incs,
-                child_dmins,
+                child_vals,
                 mask & ~(1 << c),
                 cost_child,
                 lb_child,
@@ -448,8 +497,8 @@ def prefix_branch_and_bound(
     try:
         rec(
             list(range(n)),
-            [sum(row) for row in wm],
-            [sum(row) for row in mins],
+            # every candidate's packed row sums
+            [sum(col) for col in zip(*packed)],
             (1 << n) - 1,
             0,
             full_lb,

@@ -336,6 +336,43 @@ class TestPrefixSearch:
         with pytest.raises(ValueError, match="max_nodes"):
             fair_kemeny(pm, spec, index, max_nodes=max_nodes)
 
+    @pytest.mark.parametrize("budget", [-5, 1.5, True, False, "3"])
+    def test_rejects_bad_time_budget(self, budget):
+        # an explicit budget is checked like a node cap, before any solve
+        table = helpers.grid_table(8, 2, 2)
+        spec = FairnessSpec(delta_default=Fraction(1, 4))
+        index = spec.build_index(table)
+        pm = build_precedence_matrix(RankingSet((Ranking(table.candidate_ids),)), table)
+        with pytest.raises(ValueError, match="time_budget_ms"):
+            kemeny_exact(pm, time_budget_ms=budget)
+        with pytest.raises(ValueError, match="time_budget_ms"):
+            fair_kemeny(pm, spec, index, time_budget_ms=budget)
+
+    @pytest.mark.parametrize(
+        "wm",
+        [
+            [[0, 1, 2], [1, 0, 1], [0, 1]],
+            [[0, 1], [1, 0], [0, 1]],
+            [[0, -1], [1, 0]],
+            [[0, 1.0], [1, 0]],
+            [[0, True], [False, 0]],
+            [[0, "1"], [1, 0]],
+            [[0, 1], 1],
+            [[]],
+        ],
+        ids=["ragged", "tall", "negative", "float", "bool", "str", "scalar-row", "empty-row"],
+    )
+    def test_rejects_bad_weights(self, wm):
+        with pytest.raises(ValueError, match="wm"):
+            prefix_branch_and_bound(wm)
+
+    def test_numpy_int_weights_come_back_as_python_ints(self):
+        wm = [[0, np.int64(3), 1], [2, 0, np.int64(2)], [4, 1, 0]]
+        order, objective, completed, _ = prefix_branch_and_bound(wm)
+        assert completed and type(objective) is int
+        assert objective == enumeration_best([[int(v) for v in row] for row in wm])
+        assert objective == ranking_objective(wm, order)
+
 
 class TestFairnessAwareBaselines:
     def test_pick_fairest_takes_lowest_key(self, rng):
