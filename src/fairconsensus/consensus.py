@@ -117,17 +117,16 @@ def _borda_order(wm: Sequence[Sequence[int]]) -> list[int]:
     return _by_points(_borda_points(wm))
 
 
-def _add_row_points(points: list[int], rows: np.ndarray, weight: int = 1) -> list[int]:
+def _add_row_points(points: list[int], rows: np.ndarray) -> list[int]:
     """``points`` plus the positional points of rows of table indices.
 
-    Row ``r`` ranks ``rows[r, k]`` k-th, worth ``n - 1 - k`` points times
-    ``weight``. The rows' totals count in int64 and the weight multiplies
-    in Python ints, so any weight stays exact.
+    Row ``r`` ranks ``rows[r, k]`` k-th, worth ``n - 1 - k`` points. A
+    batch's totals count in int64 and add to ``points`` in Python ints.
     """
     m, n = rows.shape
     earned = np.zeros(n, dtype=np.int64)
     np.add.at(earned, rows.ravel(), np.tile(np.arange(n - 1, -1, -1), m))
-    return [p + weight * e for p, e in zip(points, earned.tolist())]
+    return [p + e for p, e in zip(points, earned.tolist())]
 
 
 class _SearchAborted(Exception):
@@ -161,9 +160,9 @@ def _check_count(value: int | None, what: str) -> None:
 
 
 def _check_weights(wm: Sequence[Sequence[int]]) -> list[list[int]]:
-    """``wm`` as rows of Python ints; ``ValueError`` unless it is square and
+    """``wm`` as rows of Python ints; ``ValueError`` unless it is square,
     every entry is a non-negative integer (numpy ints convert, ``bool`` and
-    floats do not)."""
+    floats do not) and the diagonal is zero, as in a precedence matrix."""
     n = len(wm)
     rows = []
     for i, row in enumerate(wm):
@@ -174,11 +173,13 @@ def _check_weights(wm: Sequence[Sequence[int]]) -> list[list[int]]:
         if (
             values is None
             or len(values) != n
+            or values[i] != 0
             or min(values, default=0) < 0
             or any(isinstance(v, bool) for v in row)
         ):
             raise ValueError(
-                f"wm must be a square matrix of non-negative ints, got row {i}: {row!r}"
+                f"wm must be a square non-negative int matrix with a zero diagonal, "
+                f"got row {i}: {row!r}"
             )
         rows.append(values)
     return rows
@@ -547,14 +548,17 @@ def kemeny_exact(
 
 
 def borda(rankings: RankingSet, table) -> Ranking:
-    """Positional-points consensus: weighted count of candidates ranked below."""
-    by_weight: dict[int, list[list[int]]] = {}
-    for ranking, weight in zip(rankings.rankings, rankings.weights):
-        by_weight.setdefault(weight, []).append(ranking.to_indices(table))
-    points = [0] * table.n
-    for weight, rows in by_weight.items():
-        points = _add_row_points(points, np.array(rows), weight)
-    return ranking_from_indices(_by_points(points), table)
+    """Positional-points consensus: weighted count of candidates ranked below.
+
+    A candidate at position p of a ranking earns n - 1 - p points times the
+    ranking's weight, summed over the set's positions in one product: in
+    int64 while the largest possible total fits, else in Python ints.
+    """
+    top = table.n - 1
+    exact = np.int64 if rankings.total_weight * top <= np.iinfo(np.int64).max else object
+    weights = np.array(rankings.weights, dtype=exact)
+    points = weights @ (top - rankings.positions(table.candidate_ids))
+    return ranking_from_indices(_by_points(points.tolist()), table)
 
 
 def borda_streamed(batches, table) -> Ranking:

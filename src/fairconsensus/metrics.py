@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, count
+from itertools import count
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -412,25 +412,17 @@ def pd_loss(rankings: RankingSet, consensus: Ranking) -> Score:
     Exact rational in [0, 1]: the (weighted) mean Kendall tau distance to
     the base rankings, divided by the total pair count.
 
-    All m base rankings are scored in one numpy pass over an m x n
-    ``int32`` matrix whose row r holds the consensus positions of the
-    candidates in ranking r's order; a row's inversions are its Kendall
-    distance, counted one column at a time. Memory stays O(m * n). The
-    per-row counts are exact integers and the weighted sum is taken in
-    Python ints, so unbounded weights never overflow.
+    All m base rankings are scored in one numpy pass over the set's
+    positions taken in consensus order: row r holds where ranking r places
+    the consensus's first, second, ... candidate, so a row's inversions are
+    its Kendall distance, counted one column at a time. Memory stays
+    O(m * n). The per-row counts are exact integers and the weighted sum is
+    taken in Python ints, so unbounded weights never overflow. A consensus
+    over other candidates raises ``InconsistentCandidateSet``.
     """
-    pos = consensus.positions()
-    if consensus.n != rankings.n or pos.keys() != set(rankings.rankings[0].order):
-        raise InconsistentCandidateSet(
-            "pd_loss needs a consensus over the ranking set's candidates"
-        )
-    m, n = rankings.size, rankings.n
-    positions = np.fromiter(
-        chain.from_iterable(map(pos.__getitem__, r.order) for r in rankings.rankings),
-        dtype=np.int32,
-        count=m * n,
-    ).reshape(m, n)
-    inversions = np.zeros(m, dtype=np.int64)
+    positions = rankings.positions(consensus.order)
+    n = rankings.n
+    inversions = np.zeros(rankings.size, dtype=np.int64)
     for k in range(n - 1):
         inversions += (positions[:, k, None] > positions[:, k + 1 :]).sum(axis=1)
     distance = sum(map(mul, rankings.weights, inversions.tolist()))

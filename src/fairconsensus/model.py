@@ -9,6 +9,7 @@ tuples.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -140,20 +141,35 @@ class RankingSet:
 
     Weights default to 1 and only express multiplicity; a set carrying the
     weight vector (2, 1) is equivalent to listing the first ranking twice.
+    Each weight must be an integer >= 1 (``bool`` excluded) and is stored as
+    a Python int, so numpy ints convert and sums of weights stay exact.
+
+    ``positions`` reads the set as integers, the one decode behind the
+    precedence matrix, Borda and ``pd_loss``: an m x n ``int32`` array of
+    every candidate's position in every ranking, built on first use and
+    kept (it takes no part in equality or hashing).
     """
 
     rankings: tuple[Ranking, ...]
     weights: tuple[int, ...] = ()
+    _positions: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.rankings:
             raise InconsistentCandidateSet("a ranking set cannot be empty")
-        if not self.weights:
-            object.__setattr__(self, "weights", (1,) * len(self.rankings))
-        elif len(self.weights) != len(self.rankings):
+        weights = self.weights or (1,) * len(self.rankings)
+        if len(weights) != len(self.rankings):
             raise ValueError("one weight per ranking is required")
-        if any(w < 1 for w in self.weights):
+        try:
+            ints = tuple(operator.index(w) for w in weights if not isinstance(w, bool))
+        except TypeError:
+            ints = ()
+        # a bool or non-integer weight leaves ``ints`` short
+        if len(ints) != len(weights) or min(ints) < 1:
             raise ValueError("weights must be positive integers")
+        object.__setattr__(self, "weights", ints)
         base = frozenset(self.rankings[0].order)
         for i, ranking in enumerate(self.rankings):
             if frozenset(ranking.order) != base or ranking.n != len(base):
@@ -172,6 +188,23 @@ class RankingSet:
     @property
     def total_weight(self) -> int:
         return sum(self.weights)
+
+    def positions(self, ids: Sequence[str]) -> np.ndarray:
+        """m x n ``int32`` array whose entry [r, j] is ranking r's 0-based
+        position of candidate ``ids[j]``.
+
+        ``ids`` lists the set's candidates in any order; a wrong count or an
+        unknown id raises ``InconsistentCandidateSet``.
+        """
+        column = self.rankings[0].positions()
+        wanted = [column.get(cid) for cid in ids]
+        if len(wanted) != len(column) or None in wanted:
+            raise InconsistentCandidateSet("ids do not list the ranking set's candidates")
+        if self._positions is None:
+            slots = [[column[cid] for cid in r.order] for r in self.rankings]
+            decoded = np.argsort(np.array(slots, dtype=np.int32), axis=1).astype(np.int32)
+            object.__setattr__(self, "_positions", decoded)
+        return self._positions[:, wanted]
 
 
 @dataclass(frozen=True)
@@ -307,29 +340,13 @@ class PrecedenceMatrix:
 def build_precedence_matrix(rankings: RankingSet, table: CandidateTable) -> PrecedenceMatrix:
     """Accumulate the weighted precedence matrix in table candidate order.
 
-    Rankings count in int64 per distinct weight and each weight multiplies
-    its counts once. The matrix is int64 when the total weight fits, else
-    an object array of Python ints, so any weight stays exact.
+    Row ``a`` is one weighted sum over the rankings' positions: the weights
+    times, per ranking, which candidates it places above ``a``. The matrix
+    is int64 when the total weight fits, else an object array of Python
+    ints, so any weight stays exact.
     """
-    n = table.n
-    if rankings.n != n:
-        raise InconsistentCandidateSet(
-            f"ranking set covers {rankings.n} candidates, table has {n}"
-        )
-    by_weight: dict[int, list[Ranking]] = {}
-    for ranking, weight in zip(rankings.rankings, rankings.weights):
-        by_weight.setdefault(weight, []).append(ranking)
+    pos = rankings.positions(table.candidate_ids)
     exact = np.int64 if rankings.total_weight <= np.iinfo(np.int64).max else object
-    matrix = np.zeros((n, n), dtype=exact)
-    count = np.empty((n, n), dtype=np.int64)
-    pos = np.empty(n, dtype=np.int64)
-    for weight, group in by_weight.items():
-        count.fill(0)
-        for ranking in group:
-            indices = ranking.to_indices(table)
-            for rank_pos, cand in enumerate(indices):
-                pos[cand] = rank_pos
-            # b precedes a exactly when pos[b] < pos[a]
-            count += pos[:, None] > pos[None, :]
-        matrix += count.astype(exact, copy=False) * weight
+    weights = np.array(rankings.weights, dtype=exact)
+    matrix = np.stack([weights @ (pos < pos[:, a, None]) for a in range(table.n)])
     return PrecedenceMatrix(table.candidate_ids, matrix, rankings.total_weight)

@@ -359,8 +359,19 @@ class TestPrefixSearch:
             [[0, "1"], [1, 0]],
             [[0, 1], 1],
             [[]],
+            [[5, 1, 2], [2, 0, 1], [1, 2, 0]],
         ],
-        ids=["ragged", "tall", "negative", "float", "bool", "str", "scalar-row", "empty-row"],
+        ids=[
+            "ragged",
+            "tall",
+            "negative",
+            "float",
+            "bool",
+            "str",
+            "scalar-row",
+            "empty-row",
+            "diagonal",
+        ],
     )
     def test_rejects_bad_weights(self, wm):
         with pytest.raises(ValueError, match="wm"):

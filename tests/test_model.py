@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from fairconsensus import (
@@ -12,6 +13,7 @@ from fairconsensus import (
     Ranking,
     RankingSet,
     UnknownAttribute,
+    borda,
     build_group_index,
     build_precedence_matrix,
 )
@@ -81,6 +83,37 @@ class TestRankingSet:
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
             RankingSet((Ranking(("a", "b")),), (0,))
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, "2", None])
+    def test_rejects_non_integer_weights(self, bad):
+        rankings = (Ranking(("a", "b")), Ranking(("b", "a")))
+        with pytest.raises(ValueError, match="weights"):
+            RankingSet(rankings, (bad, 1))
+
+    def test_numpy_int_weights_become_python_ints(self):
+        # stored as Python ints, the total and the object-dtype matrix
+        # built past int64 stay exact
+        rankings = RankingSet(
+            (Ranking(("a", "b")), Ranking(("b", "a"))),
+            (np.int64(2**62), np.int64(2**62 + 1)),
+        )
+        assert rankings.weights == (2**62, 2**62 + 1)
+        assert all(type(w) is int for w in rankings.weights)
+        assert rankings.total_weight == 2**63 + 1
+        table = CandidateTable(("a", "b"), ("x",), (("1",), ("2",)))
+        assert build_precedence_matrix(rankings, table).cost_lists() == [
+            [0, 2**62 + 1],
+            [2**62, 0],
+        ]
+
+    def test_decode_leaves_equality_and_hash_alone(self, abc_table):
+        orders = (("a", "b", "c"), ("c", "a", "b"))
+        used = RankingSet(tuple(map(Ranking, orders)), (2, 1))
+        fresh = RankingSet(tuple(map(Ranking, orders)), (2, 1))
+        before = hash(used)
+        build_precedence_matrix(used, abc_table)
+        assert used == fresh and hash(used) == before == hash(fresh)
+        assert repr(used) == repr(fresh)
 
 
 class TestPairCounts:
@@ -172,3 +205,28 @@ class TestPrecedenceMatrix:
         rankings = RankingSet((Ranking(("a", "b", "z")),))
         with pytest.raises(InconsistentCandidateSet):
             build_precedence_matrix(rankings, abc_table)
+        with pytest.raises(InconsistentCandidateSet):
+            borda(rankings, abc_table)
+
+    def test_matches_pairwise_reference(self, rng):
+        """Every entry equals a per-pair count, on sets whose first ranking
+        orders the candidates unlike the table, in int64 and past it."""
+        for trial in range(12):
+            table = helpers.random_table(rng.randint(2, 9), {"t": ["g", "o"]}, rng)
+            rankings = helpers.random_ranking_set(table, rng.randint(1, 6), rng)
+            while rankings.rankings[0].order == table.candidate_ids:
+                rankings = helpers.random_ranking_set(table, rankings.size, rng)
+            weights = tuple(rng.choice((1, 2, 7, 10**20)) for _ in range(rankings.size))
+            rankings = RankingSet(rankings.rankings, weights)
+            pm = build_precedence_matrix(rankings, table)
+            ids = table.candidate_ids
+            for a in range(table.n):
+                for b in range(table.n):
+                    expected = sum(
+                        w
+                        for r, w in zip(rankings.rankings, weights)
+                        if r.order.index(ids[b]) < r.order.index(ids[a])
+                    )
+                    assert pm.matrix[a][b] == expected
+            fits = rankings.total_weight <= np.iinfo(np.int64).max
+            assert pm.matrix.dtype == (np.int64 if fits else object)
