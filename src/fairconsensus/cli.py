@@ -290,7 +290,11 @@ def _read_text(path: str | Path) -> str:
 
 
 def _csv_rows(path: str | Path) -> list[list[str]]:
-    return list(csv.reader(io.StringIO(_read_text(path), newline="")))
+    """A CSV file's rows; a field past ``csv.field_size_limit()`` is unusable."""
+    try:
+        return list(csv.reader(io.StringIO(_read_text(path), newline="")))
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def read_candidates(path: str | Path) -> CandidateTable:
@@ -859,7 +863,9 @@ def cmd_experiment(args: argparse.Namespace) -> _Outputs:
     config_path = Path(args.config)
     try:
         config = json.loads(_read_text(config_path))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError, as is an integer literal past
+        # Python's digit limit; nesting too deep exhausts the recursion limit
         raise ParseError(f"{config_path}: invalid JSON ({exc})") from exc
     if not isinstance(config, dict):
         raise ParseError(f"{config_path}: the config must be a JSON object")

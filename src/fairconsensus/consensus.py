@@ -107,14 +107,24 @@ def _by_points(points: Sequence) -> list[int]:
     return sorted(range(len(points)), key=points.__getitem__, reverse=True)
 
 
-def _borda_points(wm: Sequence[Sequence[int]]) -> list[int]:
+def _borda_points(matrix: np.ndarray) -> list[int]:
     """Positional points, the precedence matrix's column sums: column ``b``
-    counts the (weighted) rankings placing ``b`` above each other candidate."""
-    return [sum(column) for column in zip(*wm)]
+    counts the (weighted) rankings placing ``b`` above each other candidate.
+
+    Summed as Python ints, so a column of an int64 matrix may pass 2**63.
+    """
+    return matrix.sum(axis=0, dtype=object).tolist()
 
 
-def _borda_order(wm: Sequence[Sequence[int]]) -> list[int]:
-    return _by_points(_borda_points(wm))
+def _borda_order(matrix: np.ndarray) -> list[int]:
+    return _by_points(_borda_points(matrix))
+
+
+def _by_wins(precedence: PrecedenceMatrix, wins: np.ndarray) -> Ranking:
+    """Most wins first; equal wins fall back to the positional points, then
+    to table order."""
+    order = _by_points(list(zip(wins.tolist(), _borda_points(precedence.matrix))))
+    return Ranking(tuple(precedence.ids[i] for i in order))
 
 
 def _add_row_points(points: list[int], rows: np.ndarray) -> list[int]:
@@ -535,7 +545,7 @@ def kemeny_exact(
     wm = precedence.cost_lists()
     budget = resolve_budget_ms(time_budget_ms)
     deadline = time.perf_counter() + budget / 1000.0 if budget is not None else None
-    seed_order = _borda_order(wm)
+    seed_order = _borda_order(precedence.matrix)
     order, objective, completed, nodes = prefix_branch_and_bound(
         wm,
         incumbent_order=seed_order,
@@ -581,15 +591,10 @@ def copeland(precedence: PrecedenceMatrix) -> Ranking:
     (the positional point total), so tie blocks keep the base rankings'
     preference signal instead of falling back to declaration order first.
     """
-    n = precedence.n
-    wm = precedence.cost_lists()
-    wins = [0] * n
-    for b in range(n):
-        for a in range(n):
-            if a != b and wm[a][b] >= wm[b][a]:
-                wins[b] += 1
-    order = _by_points(list(zip(wins, _borda_points(wm))))
-    return Ranking(tuple(precedence.ids[i] for i in order))
+    m = precedence.matrix
+    # column b counts each a with m[a, b] >= m[b, a]; the diagonal compares
+    # 0 with 0 and counts once, hence the - 1
+    return _by_wins(precedence, (m >= m.T).sum(axis=0) - 1)
 
 
 def schulze(precedence: PrecedenceMatrix) -> Ranking:
@@ -597,37 +602,24 @@ def schulze(precedence: PrecedenceMatrix) -> Ranking:
 
     Candidates are ordered by the number of strongest-path contests won;
     ties fall back to total pairwise support, then declaration order.
+
+    ``p[a, b]`` starts as the support for ``a`` over ``b`` (the weight of
+    rankings placing ``a`` first) where it beats the reverse, else 0. Each
+    pivot ``i`` then widens every path through ``i`` in one array step,
+    the widest-path recurrence of Schulze (2011). That equals updating the
+    entries one by one in place: row and column ``i`` cannot change during
+    pivot ``i`` (a path through ``i`` that starts or ends there is no
+    wider), so every entry reads the values the sequential loop reads. A
+    diagonal entry may turn nonzero, which that loop never writes, but it
+    feeds no off-diagonal entry (it is read only at its own pivot, where
+    each minimum it enters is capped by the entry it would widen) and no
+    win (``p[a, a] > p[a, a]`` is false).
     """
-    n = precedence.n
-    wm = precedence.cost_lists()
-    # support for a over b = weighted count of rankings placing a first
-    d = [[wm[b][a] for b in range(n)] for a in range(n)]
-    p = [
-        [d[a][b] if d[a][b] > d[b][a] else 0 for b in range(n)]
-        for a in range(n)
-    ]
-    for i in range(n):
-        pi = p[i]
-        for a in range(n):
-            if a == i:
-                continue
-            pai = p[a][i]
-            if pai == 0:
-                continue
-            pa = p[a]
-            for b in range(n):
-                if b == a or b == i:
-                    continue
-                strength = pai if pai < pi[b] else pi[b]
-                if strength > pa[b]:
-                    pa[b] = strength
-    wins = [0] * n
-    for a in range(n):
-        for b in range(n):
-            if a != b and p[a][b] > p[b][a]:
-                wins[a] += 1
-    order = _by_points(list(zip(wins, _borda_points(wm))))
-    return Ranking(tuple(precedence.ids[i] for i in order))
+    m = precedence.matrix
+    p = np.where(m.T > m, m.T, 0)
+    for i in range(precedence.n):
+        p = np.maximum(p, np.minimum(p[:, i, None], p[None, i, :]))
+    return _by_wins(precedence, (p > p.T).sum(axis=1))
 
 
 def fairness_sort_key(

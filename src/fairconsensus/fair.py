@@ -308,7 +308,7 @@ def fair_kemeny(
     wm = precedence.cost_lists()
     seeds: list[Ranking] = [
         base.ranking,
-        Ranking(tuple(precedence.ids[i] for i in _borda_order(wm))),
+        Ranking(tuple(precedence.ids[i] for i in _borda_order(precedence.matrix))),
         copeland(precedence),
         schulze(precedence),
     ]

@@ -418,10 +418,13 @@ def pd_loss(rankings: RankingSet, consensus: Ranking) -> Score:
     its Kendall distance, counted one column at a time. Memory stays
     O(m * n). The per-row counts are exact integers and the weighted sum is
     taken in Python ints, so unbounded weights never overflow. A consensus
-    over other candidates raises ``InconsistentCandidateSet``.
+    over other candidates raises ``InconsistentCandidateSet``. With fewer
+    than two candidates no pair can disagree, and the loss is 0.
     """
     positions = rankings.positions(consensus.order)
     n = rankings.n
+    if n < 2:
+        return Fraction(0)
     inversions = np.zeros(rankings.size, dtype=np.int64)
     for k in range(n - 1):
         inversions += (positions[:, k, None] > positions[:, k + 1 :]).sum(axis=1)

@@ -193,12 +193,13 @@ class RankingSet:
         """m x n ``int32`` array whose entry [r, j] is ranking r's 0-based
         position of candidate ``ids[j]``.
 
-        ``ids`` lists the set's candidates in any order; a wrong count or an
-        unknown id raises ``InconsistentCandidateSet``.
+        ``ids`` lists each of the set's candidates once, in any order; a
+        wrong count, an unknown id or a repeated id raises
+        ``InconsistentCandidateSet``.
         """
         column = self.rankings[0].positions()
         wanted = [column.get(cid) for cid in ids]
-        if len(wanted) != len(column) or None in wanted:
+        if len(wanted) != len(column) or set(wanted) != set(column.values()):
             raise InconsistentCandidateSet("ids do not list the ranking set's candidates")
         if self._positions is None:
             slots = [[column[cid] for cid in r.order] for r in self.rankings]

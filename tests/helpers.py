@@ -10,6 +10,7 @@ import csv
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -116,6 +117,45 @@ def count_inversions(first: Ranking, second: Ranking) -> int:
     return sum(
         1 for i in range(n) for j in range(i + 1, n) if order[i] > order[j]
     )
+
+
+def copeland_wins_reference(wm: Sequence[Sequence[int]]) -> list[int]:
+    """Copeland wins counted pair by pair from precedence counts ``wm``
+    (``wm[a][b]`` weighs the rankings placing ``b`` above ``a``): ``b``
+    scores against each other ``a`` that it beats or ties."""
+    n = len(wm)
+    return [
+        sum(1 for a in range(n) if a != b and wm[a][b] >= wm[b][a]) for b in range(n)
+    ]
+
+
+def schulze_wins_reference(wm: Sequence[Sequence[int]]) -> list[int]:
+    """Schulze wins from strongest paths taken over every simple path.
+
+    A link ``a -> b`` weighs the support for ``a`` over ``b`` when it beats
+    the reverse; a path is as strong as its weakest link, and ``a``'s
+    strongest path to ``b`` is the strongest of all simple paths (0 when
+    none has every link). Exponential in n: meant for n <= 6.
+    """
+    n = len(wm)
+
+    def link(a: int, b: int) -> int:
+        return wm[b][a] if wm[b][a] > wm[a][b] else 0
+
+    strongest = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            others = [c for c in range(n) if c not in (a, b)]
+            for k in range(len(others) + 1):
+                for middle in permutations(others, k):
+                    path = (a, *middle, b)
+                    strength = min(link(x, y) for x, y in zip(path, path[1:]))
+                    strongest[a][b] = max(strongest[a][b], strength)
+    return [
+        sum(1 for b in range(n) if strongest[a][b] > strongest[b][a]) for a in range(n)
+    ]
 
 
 def favored_share_reference(

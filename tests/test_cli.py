@@ -746,6 +746,44 @@ class TestInputBoundary:
         assert len(err) == 1 and err[0].startswith(f"error: {name}: not valid UTF-8")
         assert not Path("out").exists()
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            pytest.param(AGGREGATE, "candidates.csv", id="aggregate-candidates"),
+            pytest.param(
+                ["metrics", "--candidates", "candidates.csv", "--rankings",
+                 "rankings.csv", "--out", "out"],
+                "rankings.csv",
+                id="metrics-rankings",
+            ),
+        ],
+    )
+    def test_oversized_csv_field_exits_2(self, grid_case, capsys, argv, name):
+        # one field past the csv module's limit (131 072 characters)
+        long_field = "x" * (csv.field_size_limit() + 1)
+        Path(name).write_text(f"candidate_id,g\n{long_field},y\n", encoding="utf-8")
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {name}: field larger")
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize(
+        "text, what",
+        [
+            pytest.param("[" * 200_000 + "]" * 200_000, "recursion", id="deep-nesting"),
+            pytest.param(
+                '{"trials": ' + "9" * 5_000 + "}", "digits", id="long-integer"
+            ),
+        ],
+    )
+    def test_unreadable_config_json_exits_2(self, grid_case, capsys, text, what):
+        Path("config.json").write_text(text, encoding="utf-8")
+        assert main(EXPERIMENT) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config.json: invalid JSON")
+        assert what in err[0]
+        assert not Path("out").exists()
+
     @settings(
         max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )

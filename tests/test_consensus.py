@@ -11,9 +11,12 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fairconsensus import (
     BudgetExceeded,
+    CandidateTable,
     FairnessSpec,
     Infeasible,
     MallowsConfig,
@@ -118,6 +121,16 @@ class TestBorda:
             expected = Ranking(tuple(table.candidate_ids[i] for i in order))
             assert borda(rankings, table) == expected
 
+    def test_matrix_points_pass_int64(self, abc_table):
+        # the total fits int64, so the matrix does; a's and b's points,
+        # 3 * 2**62 - 1 and 3 * 2**62 - 2, do not, and wrapped would sort below c
+        rankings = RankingSet(
+            (Ranking(("a", "b", "c")), Ranking(("b", "a", "c"))), (2**62, 2**62 - 1)
+        )
+        pm = build_precedence_matrix(rankings, abc_table)
+        assert pm.matrix.dtype == np.int64
+        assert consensus._borda_order(pm.matrix) == [0, 1, 2]
+
     def test_huge_weights_stay_exact(self, abc_table):
         # c = 2w + 2, b = 2w + 1, a = 2w: equal in float64, not in integers
         w = 10**20
@@ -169,6 +182,42 @@ class TestCondorcetMethods:
         pm = build_precedence_matrix(rankings, table)
         assert copeland(pm) == Ranking(("a", "b", "c"))
         assert schulze(pm) == Ranking(("a", "b", "c"))
+
+    @given(data=st.data())
+    def test_property_matches_definitions(self, data):
+        """Copeland's pair-by-pair wins and Schulze's strongest paths over
+        every simple path, each tie-broken by the positional points and then
+        table order. A mirrored ranking of equal weight ties every pair, and
+        a large scale puts the points, or the matrix itself, past int64."""
+        n = data.draw(st.integers(2, 6), label="n")
+        ids = tuple(f"c{i}" for i in range(n))
+        orders = data.draw(
+            st.lists(st.permutations(ids), min_size=1, max_size=7), label="orders"
+        )
+        weights = data.draw(
+            st.lists(st.integers(1, 3), min_size=len(orders), max_size=len(orders)),
+            label="weights",
+        )
+        if data.draw(st.booleans(), label="mirror"):
+            orders.append(orders[0][::-1])
+            weights.append(weights[0])
+        scale = data.draw(st.sampled_from([1, 2**61, 2**62 - 1, 10**20]), label="scale")
+        table = CandidateTable(ids, ("t",), tuple((f"v{i % 2}",) for i in range(n)))
+        rankings = RankingSet(
+            tuple(Ranking(tuple(o)) for o in orders), tuple(w * scale for w in weights)
+        )
+        pm = build_precedence_matrix(rankings, table)
+        wm = pm.cost_lists()
+        points = [sum(column) for column in zip(*wm)]
+        assert consensus._borda_order(pm.matrix) == borda(rankings, table).to_indices(
+            table
+        )
+        for solve, wins in (
+            (copeland, helpers.copeland_wins_reference(wm)),
+            (schulze, helpers.schulze_wins_reference(wm)),
+        ):
+            order = sorted(range(n), key=lambda c: (-wins[c], -points[c], c))
+            assert solve(pm) == Ranking(tuple(ids[i] for i in order))
 
 
 class TestHugeWeights:

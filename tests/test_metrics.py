@@ -238,6 +238,13 @@ class TestPdLoss:
         rankings = RankingSet((ranking, ranking), (3, 1))
         assert pd_loss(rankings, ranking) == 0
 
+    def test_one_candidate_has_no_pair_to_lose(self):
+        ranking = Ranking(("a",))
+        rankings = RankingSet((ranking, ranking), (2, 1))
+        assert pd_loss(rankings, ranking) == 0 == kendall_tau(ranking, ranking)
+        with pytest.raises(InconsistentCandidateSet):
+            pd_loss(rankings, Ranking(("b",)))
+
     def test_weighted_mean_of_normalized_distance(self, rng):
         table = helpers.random_table(6, {"t": ["g", "o"]}, rng)
         rankings = helpers.random_ranking_set(table, 4, rng, weights=[2, 1, 1, 3])

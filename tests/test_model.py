@@ -106,6 +106,16 @@ class TestRankingSet:
             [2**62, 0],
         ]
 
+    @pytest.mark.parametrize(
+        "ids",
+        [("a", "a", "b"), ("a", "b"), ("a", "b", "c", "a"), ("a", "b", "z")],
+    )
+    def test_positions_refuse_ids_not_listing_each_candidate_once(self, ids):
+        rankings = RankingSet((Ranking(("a", "b", "c")), Ranking(("c", "a", "b"))))
+        with pytest.raises(InconsistentCandidateSet):
+            rankings.positions(ids)
+        assert rankings.positions(("c", "a", "b")).tolist() == [[2, 0, 1], [0, 1, 2]]
+
     def test_decode_leaves_equality_and_hash_alone(self, abc_table):
         orders = (("a", "b", "c"), ("c", "a", "b"))
         used = RankingSet(tuple(map(Ranking, orders)), (2, 1))
