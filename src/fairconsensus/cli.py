@@ -724,11 +724,13 @@ def cmd_metrics(args: argparse.Namespace) -> _Outputs:
                     "pd_loss": fraction_json(loss),
                 }
             )
+            # an attribute with one group is skipped by the report: empty cells
             cells = [str(path), str(row_no)]
             for name, label in group_columns:
-                cells.append(decimal_string(report.attribute_shares[name][label]))
+                shares = report.attribute_shares.get(name, {})
+                cells.append(decimal_cell(shares.get(label)))
             for entity in index.attribute_entities:
-                cells.append(decimal_string(report.attribute_spreads[entity.name]))
+                cells.append(decimal_cell(report.attribute_spreads.get(entity.name)))
             cells.append(decimal_cell(report.intersection_spread))
             cells.append(decimal_string(loss))
             csv_rows.append(cells)
@@ -984,7 +986,7 @@ def cmd_experiment(args: argparse.Namespace) -> _Outputs:
                         solved.ranking, _REPORT_SPEC, report_index
                     )
                     values = [
-                        *(report.attribute_spreads[name] for name in table.attributes),
+                        *map(report.attribute_spreads.get, table.attributes),
                         report.intersection_spread,
                         solved.pd_loss,
                         solved.price_of_fairness,

@@ -206,6 +206,49 @@ def _check_order(order: Sequence[int] | None, n: int) -> None:
         )
 
 
+def _window_feasible(
+    f: Sequence[int], his: Sequence[int], window: int, total: int
+) -> bool:
+    """True while some final counts can sum to ``total`` within one window.
+
+    For an entity whose groups share one mixed-pair count, spreads compare
+    as raw favored counts. Group ``g`` holds ``f[g]`` favored pairs and can
+    still reach ``his[g]``; any completion gives it a final count in
+    ``[f[g], his[g]]``, all of them inside one ``[t, t + window]``, and the
+    counts sum to the entity's fixed ``total``. Three integer tests cut:
+
+    - *window*: ``max(f) - min(his) > window``, no window fits;
+    - *top*: the counts reach ``total`` only with the window's top at or
+      above ``x``, the least integer with ``sum(min(his[g], x)) >= total``;
+      there is no such ``x``, or ``x > min(his) + window``;
+    - *bottom*: the window's floor is then at least ``t = max(max(f), x) -
+      window``, and ``sum(max(f[g], t)) > total``.
+
+    Both sums never fall as ``x`` or ``t`` rises, so the least values decide.
+    """
+    lo = max(f)
+    hi = min(his)
+    if lo - hi > window:
+        return False
+    k = len(his)
+    need = total
+    # the ceilings below `x` count in full, the other `k - j` as `x` each
+    for j, h in enumerate(sorted(his)):
+        x = -(-need // (k - j))
+        if x <= h:
+            break
+        need -= h
+    else:
+        return False
+    if x > hi + window:
+        return False
+    t = max(lo, x) - window
+    low_sum = 0
+    for v in f:
+        low_sum += v if v > t else t
+    return low_sum <= total
+
+
 def prefix_branch_and_bound(
     wm: list[list[int]],
     *,
@@ -232,7 +275,10 @@ def prefix_branch_and_bound(
     completion is the sum of pairwise minima among remaining candidates.
     With constraints, per-group favored-pair counts are tracked along the
     prefix and a node is cut as soon as some spread can no longer land
-    within its threshold, no matter how the remainder is ordered.
+    within its threshold, no matter how the remainder is ordered. An
+    entity of three or more groups sharing one mixed-pair count is cut by
+    the three integer tests of ``_window_feasible`` (window, top, bottom);
+    any other by its least reachable spread, in cross-multiplied integers.
 
     Both sums are running totals, packed into one int per candidate: a
     node holds, aligned with its remaining candidates, ``v = (gap << shift)
@@ -338,53 +384,9 @@ def prefix_branch_and_bound(
             rem_cnt = counts[width + at : width + at + len(f)]
             window = cons_window[ci]
             if window is not None:
-                # shared denominator: spreads compare as raw counts. Any
-                # completion must place every group's final count inside one
-                # window of width `window`, and the counts must sum to the
-                # entity's fixed mixed-pair total.
-                k = len(f)
-                his = [
-                    f[g] + rem_cnt[g] * (rem_size - rem_cnt[g]) for g in range(k)
-                ]
-                maxlo = max(f)
-                minhi = min(his)
-                if maxlo - minhi > window:
+                his = [fg + r * (rem_size - r) for fg, r in zip(f, rem_cnt)]
+                if not _window_feasible(f, his, window, cons_total[ci]):
                     return False
-                total = cons_total[ci]
-                t_lo = maxlo - window
-                low_sum = 0
-                for g in range(k):
-                    lg = f[g]
-                    low_sum += lg if lg > t_lo else t_lo
-                if low_sum > total:
-                    return False
-                top = minhi + window
-                high_sum = 0
-                for g in range(k):
-                    hg = his[g]
-                    high_sum += hg if hg < top else top
-                if high_sum < total:
-                    return False
-                # smallest window position whose max reachable sum meets the
-                # total; the min reachable sum there must not overshoot
-                his.sort()
-                prefix_sum = 0
-                t_b = t_lo
-                for j in range(k):
-                    need = total - prefix_sum
-                    x = -(-need // (k - j))
-                    if x <= his[j]:
-                        if x - window > t_lo:
-                            t_b = x - window
-                        break
-                    prefix_sum += his[j]
-                if t_b > t_lo:
-                    low_sum = 0
-                    for g in range(k):
-                        lg = f[g]
-                        low_sum += lg if lg > t_b else t_b
-                    if low_sum > total:
-                        return False
             else:
                 omega = cons_omega[ci]
                 dnum, dden = cons_delta[ci]

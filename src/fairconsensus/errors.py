@@ -23,12 +23,12 @@ class DegenerateGroup(FairConsensusError):
     """A group is empty or contains every candidate (no mixed pairs)."""
 
 
-class DegenerateAttribute(FairConsensusError):
+class DegenerateAttribute(DegenerateGroup):
     """An attribute has fewer than two non-empty groups."""
 
 
-class DegenerateIntersection(FairConsensusError):
-    """The intersection has fewer than two non-empty groups."""
+class DegenerateIntersection(DegenerateGroup):
+    """The intersection is absent or has fewer than two non-empty groups."""
 
 
 class Infeasible(FairConsensusError):

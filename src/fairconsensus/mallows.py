@@ -36,7 +36,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateIntersection, ScenarioUnreachable, UnknownAttribute
+from .errors import DegenerateAttribute, DegenerateIntersection, ScenarioUnreachable
 from .metrics import GroupCountTracker
 from .model import Entity, GroupIndex, Ranking, RankingSet
 
@@ -388,7 +388,7 @@ def build_scenario(
     for name in targets.arp:
         entity = index.attribute(name)
         if len(entity.groups) < 2:
-            raise UnknownAttribute(
+            raise DegenerateAttribute(
                 f"attribute {name!r} has a single group; no spread to target"
             )
     for entity in index.attribute_entities:

@@ -19,7 +19,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGroup, InconsistentCandidateSet
+from .errors import (
+    DegenerateAttribute,
+    DegenerateGroup,
+    DegenerateIntersection,
+    InconsistentCandidateSet,
+)
 from .model import (
     ALL,
     INTERSECTION,
@@ -216,7 +221,7 @@ def arp(ranking: Ranking, attribute: str, index: GroupIndex) -> Score:
     """Attribute score: max pairwise gap between the attribute's group shares."""
     entity = index.attribute(attribute)
     if len(entity.groups) < 2:
-        raise DegenerateGroup(
+        raise DegenerateAttribute(
             f"attribute {attribute!r} has a single non-empty group"
         )
     num, den, _, _ = entity_spread(ranking.to_indices(index.table), entity)
@@ -227,9 +232,11 @@ def irp(ranking: Ranking, index: GroupIndex) -> Score:
     """Intersection score: max pairwise gap between intersection-cell shares."""
     entity = index.intersection
     if entity is None:
-        raise DegenerateGroup("this group index was built without an intersection")
+        raise DegenerateIntersection(
+            "this group index was built without an intersection"
+        )
     if len(entity.groups) < 2:
-        raise DegenerateGroup("the intersection has a single non-empty cell")
+        raise DegenerateIntersection("the intersection has a single non-empty cell")
     num, den, _, _ = entity_spread(ranking.to_indices(index.table), entity)
     return Fraction(num, den)
 

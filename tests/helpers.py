@@ -197,3 +197,64 @@ def reference_mallows(
             current.insert(point, modal[step + 1])
         rows.append(current)
     return rows
+
+
+def window_feasible_reference(
+    f: Sequence[int],
+    rem_cnt: Sequence[int],
+    rem_size: int,
+    window: int,
+    total: int,
+) -> bool:
+    """The search's uniform-window cut as five separate tests: the window,
+    the low sum at the highest floor, the high sum at the lowest ceiling,
+    and the low sum again at the least window position whose ceilings meet
+    the total. Kept as written before the three-test ``_window_feasible``
+    replaced it, as that function's reference."""
+    # shared denominator: spreads compare as raw counts. Any
+    # completion must place every group's final count inside one
+    # window of width `window`, and the counts must sum to the
+    # entity's fixed mixed-pair total.
+    k = len(f)
+    his = [
+        f[g] + rem_cnt[g] * (rem_size - rem_cnt[g]) for g in range(k)
+    ]
+    maxlo = max(f)
+    minhi = min(his)
+    if maxlo - minhi > window:
+        return False
+    t_lo = maxlo - window
+    low_sum = 0
+    for g in range(k):
+        lg = f[g]
+        low_sum += lg if lg > t_lo else t_lo
+    if low_sum > total:
+        return False
+    top = minhi + window
+    high_sum = 0
+    for g in range(k):
+        hg = his[g]
+        high_sum += hg if hg < top else top
+    if high_sum < total:
+        return False
+    # smallest window position whose max reachable sum meets the
+    # total; the min reachable sum there must not overshoot
+    his.sort()
+    prefix_sum = 0
+    t_b = t_lo
+    for j in range(k):
+        need = total - prefix_sum
+        x = -(-need // (k - j))
+        if x <= his[j]:
+            if x - window > t_lo:
+                t_b = x - window
+            break
+        prefix_sum += his[j]
+    if t_b > t_lo:
+        low_sum = 0
+        for g in range(k):
+            lg = f[g]
+            low_sum += lg if lg > t_b else t_b
+        if low_sum > total:
+            return False
+    return True

@@ -813,6 +813,89 @@ class TestInputBoundary:
             assert len(err) == 1 and err[0].startswith("error: ")
             assert sorted(os.listdir()) == ["candidates.csv", "config.json"]
 
+    @pytest.mark.parametrize("command", ["metrics", "experiment"])
+    def test_single_valued_attribute_leaves_its_cells_empty(self, grid_case, command):
+        """Every candidate shares one race: its cells are empty, as the irp
+        cell is without an intersection, and gender is still scored."""
+        write_candidates(
+            Path("one-race.csv"),
+            [
+                (cid, "r0", row[1])
+                for cid, row in zip(grid_case.candidate_ids, grid_case.values)
+            ],
+            ["candidate_id", "race", "gender"],
+        )
+        if command == "metrics":
+            argv = ["metrics", "--candidates", "one-race.csv"]
+            argv += ["--rankings", "rankings.csv"]
+            written = "out/metrics.csv"
+        else:
+            config = {k: v for k, v in SMALL_EXPERIMENT.items() if k != "scenario"}
+            config.update(candidates="one-race.csv", modal="modal.csv")
+            config["methods"] = ["borda", "fair-borda"]
+            Path("config.json").write_text(json.dumps(config))
+            argv = EXPERIMENT[:3]
+            written = "out/runs.csv"
+        assert main([*argv, "--out", "out"]) == 0
+        rows = helpers.read_csv(written, dicts=True)
+        assert rows and all(row["arp:race"] == "" and row["arp:gender"] for row in rows)
+
+    @settings(
+        max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        groups=st.lists(
+            st.tuples(st.sampled_from(["r0", "r1"]), st.sampled_from(["g0", "g1"])),
+            min_size=1,
+            max_size=3,
+        ),
+        delta=st.sampled_from(["0", "0.5", "1"]),
+        intersection=st.sampled_from(["all", "none"]),
+        data=st.data(),
+    )
+    def test_small_input_fuzz_exits_documented(
+        self, tmp_path, monkeypatch, capsys, groups, delta, intersection, data
+    ):
+        """One to three candidates, an attribute that may hold one value,
+        threshold 0 or looser, with or without the intersection: every method
+        of ``aggregate``, ``metrics``, ``generate`` from a modal and from a
+        scenario, and ``experiment`` end in a documented exit, and a failing
+        run prints one ``error:`` line."""
+        monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
+        ids = [f"c{i}" for i in range(len(groups))]
+        write_candidates(
+            Path("candidates.csv"),
+            [(cid, *values) for cid, values in zip(ids, groups)],
+            ["candidate_id", "race", "gender"],
+        )
+        orders = data.draw(
+            st.lists(st.permutations(ids), min_size=1, max_size=3), label="orders"
+        )
+        write_rankings(Path("rankings.csv"), orders)
+        write_rankings(Path("modal.csv"), orders[:1])
+        config = {
+            "candidates": "candidates.csv", "modal": "modal.csv",
+            "methods": list(METHODS), "thetas": [0.5], "deltas": [delta],
+            "trials": 1, "num_rankings": 2, "seed": 1, "intersection": intersection,
+        }
+        Path("config.json").write_text(json.dumps(config))
+        base = ["--candidates", "candidates.csv", "--rankings", "rankings.csv"]
+        fairness = ["--delta", delta, "--intersection", intersection]
+        sampling = ["--theta", "0.5", "--num-rankings", "2", "--seed", "1"]
+        runs = [["aggregate", "--method", m, *base, *fairness] for m in METHODS]
+        runs += [
+            ["metrics", *base, *fairness],
+            ["generate", *base[:2], "--modal", "modal.csv", *sampling],
+            ["generate", *base[:2], "--scenario", "low-fair", *sampling],
+            EXPERIMENT[:3],
+        ]
+        for i, argv in enumerate(runs):
+            code = main([*argv, "--out", f"out-{i}"])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4, 5, 6), argv
+            if code:
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+
     def test_config_intersection_string_reads_as_names(self, grid_case):
         outputs = []
         for scope in ("race", ["race"]):

@@ -11,7 +11,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairconsensus import (
@@ -39,7 +39,7 @@ from fairconsensus import (
 from fairconsensus import consensus
 from fairconsensus.errors import InstanceTooLarge, ParseError
 from fairconsensus.fair import enabled_entities
-from fairconsensus.model import ALL, build_group_index
+from fairconsensus.model import ALL, build_group_index, total_mixed_pair_count
 
 import helpers
 
@@ -432,6 +432,90 @@ class TestPrefixSearch:
         assert completed and type(objective) is int
         assert objective == enumeration_best([[int(v) for v in row] for row in wm])
         assert objective == ranking_objective(wm, order)
+
+
+_WINDOW_DELTAS = [Fraction(0), Fraction(1, 20), Fraction(1, 10), Fraction(1, 5)]
+
+
+def _prefix_window_states(rng: random.Random):
+    """Each count state along one random prefix walk over k = 3-7 equal
+    groups, as ``(f, rem, left, window, total)``: favored pairs and members
+    left per group, candidates left, the window width and the favored-pair
+    total. Four steps in five place a group whose state the cut keeps, when
+    there is one, so walks reach deep states."""
+    k, s = rng.randint(3, 7), rng.randint(1, 4)
+    n = k * s
+    delta = rng.choice(_WINDOW_DELTAS)
+    window = s * (n - s) * delta.numerator // delta.denominator
+    total = total_mixed_pair_count([s] * k, n)
+    f, rem = [0] * k, [s] * k
+    for left in range(n - 1, -1, -1):
+        # placing a member of g favors it over the `left + 1 - rem[g]`
+        # non-members still unplaced
+        moves = {
+            g: (
+                [v + (left + 1 - rem[g]) * (h == g) for h, v in enumerate(f)],
+                [r - (h == g) for h, r in enumerate(rem)],
+            )
+            for g in range(k)
+            if rem[g]
+        }
+        options = list(moves)
+        if rng.random() < 0.8:
+            options = [
+                g
+                for g in options
+                if helpers.window_feasible_reference(*moves[g], left, window, total)
+            ] or options
+        f, rem = moves[rng.choice(options)]
+        yield f, rem, left, window, total
+
+
+def _arbitrary_window_state(rng: random.Random):
+    """Integer ``(f, rem, left, window, total)`` of no prefix walk, with the
+    total drawn around the range the floors and ceilings span."""
+    k = rng.randint(3, 7)
+    f = [rng.randint(0, 40) for _ in range(k)]
+    rem = [rng.randint(0, 6) for _ in range(k)]
+    left = rng.randint(0, 30)
+    high = sum(v + r * (left - r) for v, r in zip(f, rem))
+    total = rng.randint(sum(f) - 5, max(sum(f), high) + 5)
+    return f, rem, left, rng.randint(0, 25), total
+
+
+class TestWindowCut:
+    """``consensus._window_feasible`` cuts exactly the states the five-test
+    uniform-window cut it replaced did (``helpers.window_feasible_reference``)."""
+
+    @settings(max_examples=50)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_five_test_reference(self, seed):
+        """At least 1 100 states per example: whole prefix walks, each
+        paired with as many arbitrary states."""
+        rng = random.Random(seed)
+        checked = 0
+        while checked < 1_100:
+            walk = list(_prefix_window_states(rng))
+            for state in walk + [_arbitrary_window_state(rng) for _ in walk]:
+                f, rem, left, window, total = state
+                his = [v + r * (left - r) for v, r in zip(f, rem)]
+                assert consensus._window_feasible(
+                    f, his, window, total
+                ) == helpers.window_feasible_reference(*state), state
+                checked += 1
+
+    def test_only_the_refinement_cuts(self):
+        # 4 groups of 3 at threshold 0: the four final counts must be equal
+        # and sum to 54, which no integer count does. The floor at max(f)
+        # leaves room (4 * 9 <= 54), but the counts reach 54 only with the
+        # window's top at 14 or above (4 * 13 < 54), and at threshold 0 its
+        # floor is there too (4 * 14 > 54)
+        f, rem, left, total = (0, 0, 0, 9), (3, 3, 3, 2), 11, 54
+        assert total == total_mixed_pair_count([3] * 4, 12)
+        his = [v + r * (left - r) for v, r in zip(f, rem)]
+        assert sum(max(v, max(f)) for v in f) <= total
+        assert not helpers.window_feasible_reference(f, rem, left, 0, total)
+        assert not consensus._window_feasible(f, his, 0, total)
 
 
 class TestFairnessAwareBaselines:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from fairconsensus import (
     CandidateTable,
+    DegenerateAttribute,
     DegenerateIntersection,
     MallowsConfig,
     Ranking,
@@ -360,6 +361,18 @@ class TestScenarioConstruction:
         index = build_group_index(table, intersection_attrs=ALL)
         targets = ScenarioTargets({}, (Fraction("0.7"), Fraction("0.05")))
         with pytest.raises(DegenerateIntersection, match="two intersection cells"):
+            build_scenario(index, targets, seed=1)
+
+    def test_single_group_attribute_target_raises(self):
+        # every candidate shares one race: no race spread to target
+        table = CandidateTable(
+            ("a", "b", "c", "d"),
+            ("race", "gender"),
+            (("r0", "g0"), ("r0", "g1"), ("r0", "g0"), ("r0", "g1")),
+        )
+        index = build_group_index(table, intersection_attrs=ALL)
+        targets = ScenarioTargets({"race": (Fraction("0.5"), Fraction("0.05"))}, None)
+        with pytest.raises(DegenerateAttribute, match="'race' has a single group"):
             build_scenario(index, targets, seed=1)
 
     def test_unknown_preset(self):

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from fairconsensus import (
     CandidateTable,
+    DegenerateAttribute,
+    DegenerateGroup,
+    DegenerateIntersection,
     FairnessSpec,
     InconsistentCandidateSet,
     Ranking,
@@ -384,3 +387,30 @@ class TestEvaluateFairness:
         )
         assert any("u" in w for w in report.warnings)
         assert "u" not in report.attribute_spreads
+
+
+class TestDegenerateScores:
+    """``arp`` and ``irp`` name what has nothing to compare by its own error
+    class; both classes are ``DegenerateGroup``s, so older handlers hold."""
+
+    TABLE = CandidateTable(
+        ("a", "b", "c"), ("t", "u"), (("g", "s"), ("o", "s"), ("g", "s"))
+    )
+
+    def test_error_classes_are_degenerate_groups(self):
+        assert issubclass(DegenerateAttribute, DegenerateGroup)
+        assert issubclass(DegenerateIntersection, DegenerateGroup)
+
+    def test_arp_of_single_group_attribute(self):
+        index = build_group_index(self.TABLE, intersection_attrs=None)
+        with pytest.raises(DegenerateAttribute, match="'u' has a single"):
+            arp(Ranking(("a", "b", "c")), "u", index)
+
+    @pytest.mark.parametrize(
+        "scope, message",
+        [(None, "without an intersection"), (("u",), "single non-empty cell")],
+    )
+    def test_irp_without_two_cells(self, scope, message):
+        index = build_group_index(self.TABLE, intersection_attrs=scope)
+        with pytest.raises(DegenerateIntersection, match=message):
+            irp(Ranking(("a", "b", "c")), index)
