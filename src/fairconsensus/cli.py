@@ -49,10 +49,11 @@ their millis cover only the repair and its scoring (plus that ranking's
 solve in the first cell that needs it).
 
 Exit codes: 0 success; 2 unusable input (parse or validation failure, a
-file that is not UTF-8, unknown flag values, malformed
-``FAIRCONSENSUS_BUDGET_MS``, oversized exact instances); 3 no ranking can
-satisfy the thresholds; 4 swap repair stalled; 5 time budget exhausted with
-no result; 6 scenario targets unreachable.
+file that is not UTF-8, unknown, missing or malformed flags and flag
+values, an empty ``--out``, malformed ``FAIRCONSENSUS_BUDGET_MS``,
+oversized exact instances); 3 no ranking can satisfy the thresholds; 4 swap
+repair stalled; 5 time budget exhausted with no result; 6 scenario targets
+unreachable. Every failing run prints one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 from .consensus import (
     DEFAULT_MAX_EXACT_N,
@@ -210,8 +211,11 @@ def parse_delta(text: str, what: str = "delta") -> Fraction:
             f"{what} must be a decimal in [0, 1] with at most 6 fractional "
             f"digits, got {text!r}"
         )
-    value = Fraction(text)
-    if not 0 <= value <= 1:
+    try:
+        value = Fraction(text)
+    except ValueError:  # an integer part past int()'s digit limit
+        value = None
+    if value is None or not 0 <= value <= 1:
         raise ParseError(f"{what} must lie in [0, 1], got {text!r}")
     return value
 
@@ -1040,8 +1044,23 @@ def cmd_experiment(args: argparse.Namespace) -> _Outputs:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ``ParseError``: ``main`` prints it
+    as one ``error:`` line and exits 2, as for any other unusable input."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ParseError(f"{self.prog}: {message}")
+
+
+def _out_dir(text: str) -> str:
+    """An ``--out`` directory; an empty one would write into the working one."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a directory, got ''")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fairconsensus",
         description="Fair multi-attribute consensus ranking toolkit",
     )
@@ -1051,7 +1070,7 @@ def build_parser() -> argparse.ArgumentParser:
     agg.add_argument("--method", required=True, choices=METHODS)
     agg.add_argument("--candidates", required=True)
     agg.add_argument("--rankings", required=True)
-    agg.add_argument("--out", required=True)
+    agg.add_argument("--out", required=True, type=_out_dir)
     agg.add_argument("--budget-ms", type=int, default=None)
     agg.add_argument("--max-exact-n", type=int, default=DEFAULT_MAX_EXACT_N)
     agg.add_argument(
@@ -1080,7 +1099,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         help="rankings CSV to score (repeatable; default: the base set)",
     )
-    met.add_argument("--out", required=True)
+    met.add_argument("--out", required=True, type=_out_dir)
     add_fairness_flags(met)
     met.set_defaults(func=cmd_metrics)
 
@@ -1097,12 +1116,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--theta", type=float, required=True)
     gen.add_argument("--num-rankings", type=int, required=True)
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--out", required=True)
+    gen.add_argument("--out", required=True, type=_out_dir)
     gen.set_defaults(func=cmd_generate)
 
     exp = sub.add_parser("experiment", help="run a seeded method/theta/delta sweep")
     exp.add_argument("--config", required=True)
-    exp.add_argument("--out", default=None, help="overrides the config 'out'")
+    exp.add_argument(
+        "--out", default=None, type=_out_dir, help="overrides the config 'out'"
+    )
     exp.set_defaults(func=cmd_experiment)
 
     return parser
@@ -1120,9 +1141,9 @@ _ERROR_CODES: tuple[tuple[type, int], ...] = (
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command, then write its files and their ``timing.json``."""
-    args = build_parser().parse_args(argv)
-    started = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        started = time.perf_counter()
         out_dir, files, message = args.func(args)
         millis = int((time.perf_counter() - started) * 1000)
         publish(out_dir, {**files, "timing.json": json_text({"millis": millis})})

@@ -24,6 +24,7 @@ strictly better leaf becomes the new incumbent.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 import time
@@ -648,15 +649,49 @@ def fairness_sort_key(
 def _fairest_first(
     rankings: RankingSet, spec: FairnessSpec, index: GroupIndex
 ) -> list[int]:
-    """Base-ranking positions by fairness key, fairest first; ties keep input order."""
-    keys = [fairness_sort_key(r, spec, index) for r in rankings.rankings]
+    """Base-ranking positions by fairness key, fairest first; ties keep input order.
+
+    The order is ``sorted(range(m), key=lambda i: (fairness_sort_key(r_i),
+    i))``, computed in one integer pass over the set's positions. Group
+    ``g``'s members sit above ``n - 1 - pos(c)`` candidates each, and lie
+    above one another in exactly ``C(|g|, 2)`` pairs, so its favored pairs
+    are ``sum(n - 1 - pos(c) for c in g) - C(|g|, 2)``: per entity, one
+    product of the m x n positions with its groups' membership columns,
+    at most ``n**2`` each and exact in int64. Every share is then scaled by ``L``, the lcm
+    of all scored groups' mixed-pair counts, so each spread becomes an
+    integer and the keys, compared as Python ints of any size, order
+    exactly as the ``Fraction`` tuples do. A set over other candidates than
+    the table raises ``InconsistentCandidateSet``.
+    """
+    n = index.table.n
+    pos = rankings.positions(index.table.candidate_ids)
+    scored = [
+        e
+        for e in sorted(spec.entities(index), key=lambda e: not e.is_intersection)
+        if len(e.groups) >= 2
+    ]
+    if not scored:
+        return list(range(rankings.size))
+    lcm = math.lcm(*(g.mixed_pairs for e in scored for g in e.groups))
+    spreads = []
+    for e in scored:
+        members = np.eye(len(e.groups), dtype=np.int64)[list(e.gid)]
+        top = [g.size * (n - 1) - g.size * (g.size - 1) // 2 for g in e.groups]
+        scale = np.array([lcm // g.mixed_pairs for g in e.groups], dtype=object)
+        shares = (top - pos @ members).astype(object) * scale
+        spreads.append((shares.max(axis=1) - shares.min(axis=1)).tolist())
+    keys = [(max(key), *key) for key in zip(*spreads)]
     return sorted(range(rankings.size), key=keys.__getitem__)
 
 
 def pick_fairest(
     rankings: RankingSet, spec: FairnessSpec, index: GroupIndex
 ) -> Ranking:
-    """The base ranking with the lowest fairness key; ties keep input order."""
+    """The base ranking with the lowest fairness key; ties keep input order.
+
+    That is the first of ``_fairest_first``'s order, which scores every
+    ranking from its favored-pair counts in one integer pass.
+    """
     return rankings.rankings[_fairest_first(rankings, spec, index)[0]]
 
 
@@ -670,13 +705,23 @@ def kemeny_weighted(
 ) -> KemenySolution:
     """Exact Kemeny over fairness-weighted base rankings.
 
-    Base rankings sorted from least fair to fairest receive weights
-    1..size, so fairer inputs pull the consensus harder; key ties keep
-    input order (the earlier ranking counts as fairer).
+    Base rankings are ordered fairest first by ``_fairest_first`` (key ties
+    keep input order: the earlier ranking counts as fairer), and the one
+    at place ``t`` of ``size`` weighs ``size - t``: the least fair weighs
+    1, so fairer inputs pull the consensus harder.
+
+    Input weights count as multiplicity, as everywhere in ``RankingSet``:
+    a ranking of weight ``w`` weighs what ``w`` adjacent copies of it
+    would. With ``M`` the total weight and ``t`` the weight of the rankings
+    ahead of it, those copies weigh ``M - t``, ``M - t - 1``, ..., ``M - t
+    - w + 1``, together ``w * (M - t) - w * (w - 1) / 2``.
     """
     weights = [0] * rankings.size
-    for t, i in enumerate(_fairest_first(rankings, spec, index)):
-        weights[i] = rankings.size - t
+    left = rankings.total_weight
+    for i in _fairest_first(rankings, spec, index):
+        w = rankings.weights[i]
+        weights[i] = w * left - w * (w - 1) // 2
+        left -= w
     weighted = RankingSet(rankings.rankings, tuple(weights))
     precedence = build_precedence_matrix(weighted, index.table)
     return kemeny_exact(

@@ -641,6 +641,43 @@ CONFIG_VALUES = st.one_of(
     st.dictionaries(st.text("a0", max_size=2), _CONFIG_SCALARS, max_size=2),
 )
 
+METRICS = [
+    "metrics", "--candidates", "candidates.csv", "--rankings", "rankings.csv",
+    "--out", "out",
+]
+_SAMPLING = ["--theta", "0.5", "--num-rankings", "3"]
+_FAIRNESS_FLAGS = {
+    "--delta": ["0.5"], "--delta-attr": ["race=0.5"], "--delta-inter": ["0.5"],
+    "--intersection": ["race", "none"], "--attributes": ["none"],
+}
+_GENERATE_FLAGS = {
+    "--candidates": ["candidates.csv"], "--modal": ["modal.csv"],
+    "--scenario": ["low-fair"], "--tolerance": ["0.5"], "--theta": ["3"],
+    "--num-rankings": ["2"], "--seed": ["7"], "--out": ["out"],
+}
+#: Per command: a command line that runs, and every flag with values it
+#: accepts (``None`` for a switch). ``scenario`` is ``generate`` from a preset.
+ARGV_COMMANDS = {
+    "aggregate": (AGGREGATE, {
+        "--method": ["kemeny-weighted", "correct-pick", "fair-borda"],
+        "--candidates": ["candidates.csv"], "--rankings": ["rankings.csv"],
+        "--out": ["out"], "--budget-ms": ["1000"], "--max-exact-n": ["12"],
+        "--max-nodes": ["50"], "--no-pof": None, **_FAIRNESS_FLAGS,
+    }),
+    "metrics": (METRICS, {
+        "--candidates": ["candidates.csv"], "--rankings": ["rankings.csv"],
+        "--score": ["rankings.csv"], "--out": ["out"], **_FAIRNESS_FLAGS,
+    }),
+    "generate": ([*GENERATE, *_SAMPLING], _GENERATE_FLAGS),
+    "scenario": ([*SCENARIO, *_SAMPLING], _GENERATE_FLAGS),
+    "experiment": (EXPERIMENT, {"--config": ["config.json"], "--out": ["out"]}),
+}
+#: Empty, not a number, negative, past a double, past int()'s digit limit,
+#: a missing path, and input files in the wrong role.
+HOSTILE_VALUES = [
+    "", "nan", "-1", "1e309", "9" * 5_000, "missing.csv", "rankings.csv", "config.json",
+]
+
 
 class TestInputBoundary:
     @pytest.mark.parametrize(
@@ -812,6 +849,45 @@ class TestInputBoundary:
         if code:
             assert len(err) == 1 and err[0].startswith("error: ")
             assert sorted(os.listdir()) == ["candidates.csv", "config.json"]
+
+    @settings(
+        max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_argv_fuzz_exits_documented(
+        self, grid_case, tmp_path, monkeypatch, capsys, data
+    ):
+        """Any command with a flag left out, flags repeated or given hostile
+        values, an unknown flag or a missing last value ends in a documented
+        exit. A failing run prints one ``error:`` line and writes nothing."""
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        inputs = ["candidates.csv", "config.json", "modal.csv", "rankings.csv"]
+        for name in ("candidates.csv", "modal.csv", "rankings.csv"):
+            shutil.copy(tmp_path / name, work)
+        monkeypatch.chdir(work)
+        Path("config.json").write_text(json.dumps(SMALL_EXPERIMENT))
+        base, flags = ARGV_COMMANDS[
+            data.draw(st.sampled_from(sorted(ARGV_COMMANDS)), label="command")
+        ]
+        argv = list(base)
+        dropped = data.draw(st.sampled_from([None, *argv[1::2]]), label="dropped")
+        if dropped is not None:
+            del argv[argv.index(dropped) : argv.index(dropped) + 2]
+        for _ in range(data.draw(st.integers(1, 2), label="extra flags")):
+            flag = data.draw(st.sampled_from([*flags, "--bogus"]), label="flag")
+            accepted = flags.get(flag) or [None]
+            value = data.draw(
+                st.sampled_from(accepted) | st.sampled_from(HOSTILE_VALUES), label="value"
+            )
+            argv += [flag] if value is None else [flag, value]
+        if data.draw(st.integers(0, 3), label="cut") == 0:
+            argv.pop()
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code in (0, 2, 3, 4, 5, 6), argv
+        if code:
+            assert len(err) == 1 and err[0].startswith("error: "), argv
+            assert sorted(os.listdir()) == inputs, argv
 
     @pytest.mark.parametrize("command", ["metrics", "experiment"])
     def test_single_valued_attribute_leaves_its_cells_empty(self, grid_case, command):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -37,7 +38,11 @@ from fairconsensus import (
     schulze,
 )
 from fairconsensus import consensus
-from fairconsensus.errors import InstanceTooLarge, ParseError
+from fairconsensus.errors import (
+    InconsistentCandidateSet,
+    InstanceTooLarge,
+    ParseError,
+)
 from fairconsensus.fair import enabled_entities
 from fairconsensus.model import ALL, build_group_index, total_mixed_pair_count
 
@@ -546,6 +551,102 @@ class TestFairnessAwareBaselines:
             )
         )
         actual = kemeny_weighted(rankings, spec, index)
+        assert actual.ranking == expected.ranking
+        assert actual.objective == expected.objective
+
+    @staticmethod
+    def key_order(rankings, spec, index):
+        """The reference order: every ranking's ``Fraction`` key, then input order."""
+        keys = [fairness_sort_key(r, spec, index) for r in rankings.rankings]
+        return sorted(range(rankings.size), key=lambda i: (keys[i], i))
+
+    @given(data=st.data())
+    def test_fairest_first_matches_key_order(self, data):
+        """Unequal cells give the groups different mixed-pair counts; the
+        third attribute may take one value, the intersection may be all
+        attributes, a subset or none, attributes may go unscored, and
+        repeated rankings tie."""
+        n = data.draw(st.integers(2, 9), label="n")
+        values = [
+            data.draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
+            for labels in ("xyz", "pq", data.draw(st.sampled_from(["u", "uv"])))
+        ]
+        table = CandidateTable(
+            tuple(f"c{i}" for i in range(n)), ("a", "b", "c"), tuple(zip(*values))
+        )
+        spec = FairnessSpec(
+            intersection_attrs=data.draw(
+                st.sampled_from([ALL, None, ("a",), ("b", "c")]), label="intersection"
+            ),
+            constrain_attributes=data.draw(st.booleans(), label="attributes"),
+        )
+        index = spec.build_index(table)
+        orders = data.draw(
+            st.lists(st.permutations(table.candidate_ids), min_size=1, max_size=8)
+        )
+        orders += data.draw(st.lists(st.sampled_from(orders), max_size=4), label="repeats")
+        weights = data.draw(
+            st.lists(st.integers(1, 10**20), min_size=len(orders), max_size=len(orders))
+        )
+        rankings = RankingSet(tuple(Ranking(tuple(o)) for o in orders), tuple(weights))
+        expected = self.key_order(rankings, spec, index)
+        assert consensus._fairest_first(rankings, spec, index) == expected
+        assert pick_fairest(rankings, spec, index) == rankings.rankings[expected[0]]
+
+    def test_fairest_first_scales_past_int64(self, rng):
+        # one attribute of groups sized 1..13: the lcm of their mixed-pair
+        # counts s * (91 - s) passes 2**63, so the keys compare as Python ints
+        table = helpers.sized_table({"t": list(range(1, 14))}, rng)
+        index = build_group_index(table, intersection_attrs=None)
+        spec = FairnessSpec(intersection_attrs=None)
+        assert math.lcm(*(g.mixed_pairs for g in index.attribute("t").groups)) > 2**63
+        rankings = helpers.random_ranking_set(table, 12, rng)
+        rankings = RankingSet(rankings.rankings + rankings.rankings[3:6])
+        order = consensus._fairest_first(rankings, spec, index)
+        assert order == self.key_order(rankings, spec, index)
+        assert order.index(3) < order.index(12)  # a tie keeps input order
+
+    def test_fairest_first_without_scores_keeps_input_order(self, rng):
+        # every entity has a single group: all keys are (0,)
+        table = CandidateTable(
+            ("a", "b", "c", "d"), ("t", "u"), (("x", "p"),) * 4
+        )
+        rankings = helpers.random_ranking_set(table, 5, rng)
+        for spec in (FairnessSpec(), FairnessSpec(intersection_attrs=("u",))):
+            index = spec.build_index(table)
+            assert consensus._fairest_first(rankings, spec, index) == [0, 1, 2, 3, 4]
+            assert pick_fairest(rankings, spec, index) == rankings.rankings[0]
+
+    def test_other_candidates_raise(self, rng):
+        table = helpers.grid_table(6, 3, 2)
+        index = build_group_index(table, intersection_attrs=ALL)
+        spec = FairnessSpec()
+        other = RankingSet((Ranking(("c000", "c001", "c002", "c003", "c004", "x")),))
+        for baseline in (consensus._fairest_first, pick_fairest, kemeny_weighted):
+            with pytest.raises(InconsistentCandidateSet):
+                baseline(other, spec, index)
+
+    @given(data=st.data())
+    def test_kemeny_weighted_weights_count_as_copies(self, data):
+        """A set with weights solves as the set listing each ranking that
+        many times, in place: same ranking, same objective."""
+        n = data.draw(st.integers(2, 6), label="n")
+        table = helpers.grid_table(6, 3, 2)
+        table = CandidateTable(table.candidate_ids[:n], table.attributes, table.values[:n])
+        index = build_group_index(table, intersection_attrs=ALL)
+        spec = FairnessSpec()
+        orders = data.draw(
+            st.lists(st.permutations(table.candidate_ids), min_size=1, max_size=5)
+        )
+        weights = data.draw(
+            st.lists(st.integers(1, 4), min_size=len(orders), max_size=len(orders))
+        )
+        rankings = tuple(Ranking(tuple(o)) for o in orders)
+        expanded = RankingSet(
+            tuple(r for r, w in zip(rankings, weights) for _ in range(w))
+        )
+        actual = kemeny_weighted(RankingSet(rankings, tuple(weights)), spec, index)
+        expected = kemeny_weighted(expanded, spec, index)
         assert actual.ranking == expected.ranking
         assert actual.objective == expected.objective
 
