@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,6 +92,14 @@ def resolve_budget_ms(time_budget_ms: int | None) -> int | None:
     if budget < 0:
         raise ParseError(f"{BUDGET_ENV_VAR} must be an integer >= 0, got {raw!r}")
     return budget
+
+
+def _deadline(budget_ms: int | None) -> float | None:
+    """The ``perf_counter`` reading ``budget_ms`` from now; None without a
+    budget. A budget past the float range waits as long as the largest float."""
+    if budget_ms is None:
+        return None
+    return time.perf_counter() + min(budget_ms, sys.float_info.max) / 1000.0
 
 
 def ranking_objective(wm: Sequence[Sequence[int]], order: Sequence[int]) -> int:
@@ -546,8 +555,7 @@ def kemeny_exact(
             f"exact solve limited to {max_exact_n} candidates, got {n}"
         )
     wm = precedence.cost_lists()
-    budget = resolve_budget_ms(time_budget_ms)
-    deadline = time.perf_counter() + budget / 1000.0 if budget is not None else None
+    deadline = _deadline(resolve_budget_ms(time_budget_ms))
     seed_order = _borda_order(precedence.matrix)
     order, objective, completed, nodes = prefix_branch_and_bound(
         wm,
@@ -690,7 +698,8 @@ def pick_fairest(
     """The base ranking with the lowest fairness key; ties keep input order.
 
     That is the first of ``_fairest_first``'s order, which scores every
-    ranking from its favored-pair counts in one integer pass.
+    ranking in one integer pass from its favored-pair counts, group ``g``'s
+    being ``sum(n - 1 - pos(c) for c in g) - C(|g|, 2)``.
     """
     return rankings.rankings[_fairest_first(rankings, spec, index)[0]]
 
@@ -705,8 +714,10 @@ def kemeny_weighted(
 ) -> KemenySolution:
     """Exact Kemeny over fairness-weighted base rankings.
 
-    Base rankings are ordered fairest first by ``_fairest_first`` (key ties
-    keep input order: the earlier ranking counts as fairer), and the one
+    Base rankings are ordered fairest first by ``_fairest_first``, which
+    scores them in one integer pass from their favored-pair counts, group
+    ``g``'s being ``sum(n - 1 - pos(c) for c in g) - C(|g|, 2)``. Key ties
+    keep input order (the earlier ranking counts as fairer), and the one
     at place ``t`` of ``size`` weighs ``size - t``: the least fair weighs
     1, so fairer inputs pull the consensus harder.
 

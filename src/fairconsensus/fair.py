@@ -14,7 +14,6 @@ solver is tested against.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,6 +25,7 @@ from .consensus import (
     KemenySolution,
     _borda_order,
     _check_count,
+    _deadline,
     borda,
     copeland,
     kemeny_exact,
@@ -299,7 +299,7 @@ def fair_kemeny(
         )
     pairs = enabled_entities(spec, index)
     budget = resolve_budget_ms(time_budget_ms)
-    deadline = time.perf_counter() + budget / 1000.0 if budget is not None else None
+    deadline = _deadline(budget)
     base = kemeny_exact(precedence, time_budget_ms=budget, max_exact_n=max_exact_n)
     base_order = base.ranking.to_indices(index.table)
     if not pairs or (base.optimal and _order_satisfies(base_order, pairs)):

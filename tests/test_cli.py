@@ -646,6 +646,8 @@ METRICS = [
     "--out", "out",
 ]
 _SAMPLING = ["--theta", "0.5", "--num-rankings", "3"]
+#: an integer that int() reads and float() cannot hold
+_PAST_FLOAT = "9" * 400
 _FAIRNESS_FLAGS = {
     "--delta": ["0.5"], "--delta-attr": ["race=0.5"], "--delta-inter": ["0.5"],
     "--intersection": ["race", "none"], "--attributes": ["none"],
@@ -653,7 +655,7 @@ _FAIRNESS_FLAGS = {
 _GENERATE_FLAGS = {
     "--candidates": ["candidates.csv"], "--modal": ["modal.csv"],
     "--scenario": ["low-fair"], "--tolerance": ["0.5"], "--theta": ["3"],
-    "--num-rankings": ["2"], "--seed": ["7"], "--out": ["out"],
+    "--num-rankings": ["2"], "--seed": ["7", _PAST_FLOAT], "--out": ["out"],
 }
 #: Per command: a command line that runs, and every flag with values it
 #: accepts (``None`` for a switch). ``scenario`` is ``generate`` from a preset.
@@ -661,8 +663,9 @@ ARGV_COMMANDS = {
     "aggregate": (AGGREGATE, {
         "--method": ["kemeny-weighted", "correct-pick", "fair-borda"],
         "--candidates": ["candidates.csv"], "--rankings": ["rankings.csv"],
-        "--out": ["out"], "--budget-ms": ["1000"], "--max-exact-n": ["12"],
-        "--max-nodes": ["50"], "--no-pof": None, **_FAIRNESS_FLAGS,
+        "--out": ["out"], "--budget-ms": ["1000", _PAST_FLOAT],
+        "--max-exact-n": ["12", _PAST_FLOAT], "--max-nodes": ["50", _PAST_FLOAT],
+        "--no-pof": None, **_FAIRNESS_FLAGS,
     }),
     "metrics": (METRICS, {
         "--candidates": ["candidates.csv"], "--rankings": ["rankings.csv"],

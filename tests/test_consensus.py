@@ -402,6 +402,17 @@ class TestPrefixSearch:
         with pytest.raises(ValueError, match="time_budget_ms"):
             fair_kemeny(pm, spec, index, time_budget_ms=budget)
 
+    def test_budget_past_float_range_never_expires(self):
+        # 10**400 ms has no float; it runs like no budget at all
+        table = helpers.grid_table(8, 2, 2)
+        spec = FairnessSpec(delta_default=Fraction(1, 4))
+        index = spec.build_index(table)
+        pm = build_precedence_matrix(RankingSet((Ranking(table.candidate_ids),)), table)
+        assert kemeny_exact(pm, time_budget_ms=10**400) == kemeny_exact(pm)
+        assert fair_kemeny(pm, spec, index, time_budget_ms=10**400) == fair_kemeny(
+            pm, spec, index
+        )
+
     @pytest.mark.parametrize(
         "wm",
         [
