@@ -51,8 +51,11 @@ solve in the first cell that needs it).
 Exit codes: 0 success; 2 unusable input (parse or validation failure, a
 file that is not UTF-8, unknown, missing or malformed flags and flag
 values, an empty ``--out``, malformed ``FAIRCONSENSUS_BUDGET_MS``,
-oversized exact instances); 3 no ranking can satisfy the thresholds; 4 swap
-repair stalled; 5 time budget exhausted with no result; 6 scenario targets
+oversized exact instances, a sample of more than ``MAX_SAMPLED_POSITIONS``
+= 10**8 ranking positions: ``num_rankings`` times the candidate count, and
+in an experiment times ``len(thetas) * trials``, refused before anything
+is sampled); 3 no ranking can satisfy the thresholds; 4 swap repair
+stalled; 5 time budget exhausted with no result; 6 scenario targets
 unreachable. Every failing run prints one ``error:`` line on stderr.
 """
 
@@ -155,6 +158,10 @@ _PRICED_AGAINST = {
     "kemeny-weighted": "kemeny",
 }
 
+#: Most ranking positions one command may sample; a larger count is refused
+#: before anything is sampled, since every sampled ranking is kept.
+MAX_SAMPLED_POSITIONS = 10**8
+
 #: Scores every attribute and the full intersection; its threshold is unread.
 _REPORT_SPEC = FairnessSpec(delta_default=Fraction(1), intersection_attrs=ALL)
 
@@ -231,6 +238,14 @@ def parse_int(value, what: str, minimum: int | None = None) -> int:
     if minimum is not None and number < minimum:
         raise ParseError(f"{what} must be at least {minimum}, got {value!r}")
     return number
+
+
+def check_sample_size(positions: int, what: str) -> None:
+    """``ParseError`` when ``what`` asks for too many sampled positions."""
+    if positions > MAX_SAMPLED_POSITIONS:
+        raise ParseError(
+            f"{what} samples more than {MAX_SAMPLED_POSITIONS} ranking positions"
+        )
 
 
 def parse_theta(value, what: str = "theta") -> float:
@@ -767,14 +782,17 @@ def cmd_metrics(args: argparse.Namespace) -> _Outputs:
 
 
 def preset_targets(
-    name: str, tolerance: str, table: CandidateTable, what: str
+    name: str, tolerance: str, index: GroupIndex, what: str
 ) -> ScenarioTargets:
-    """A preset scenario's targets, windowed by a positive ``tolerance``."""
+    """A preset scenario's targets, windowed by a positive ``tolerance``, on
+    every attribute of two or more groups in ``index`` (one group has no
+    spread to target) and the intersection."""
     window = parse_delta(tolerance, what)
     if window == 0:
         raise ParseError(f"{what} must be positive")
+    spread = [e.name for e in index.attribute_entities if len(e.groups) > 1]
     try:
-        return scenario_targets(name, table.attributes, window)
+        return scenario_targets(name, spread, window)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -785,12 +803,13 @@ def cmd_generate(args: argparse.Namespace) -> _Outputs:
         raise ParseError("exactly one of --modal and --scenario is required")
     theta = parse_theta(args.theta, "--theta")
     num_rankings = parse_int(args.num_rankings, "--num-rankings", 1)
+    check_sample_size(num_rankings * table.n, "--num-rankings")
     files = {}
     if args.modal is not None:
         modal = read_modal(args.modal, table)
     else:
         index = _REPORT_SPEC.build_index(table)
-        targets = preset_targets(args.scenario, args.tolerance, table, "--tolerance")
+        targets = preset_targets(args.scenario, args.tolerance, index, "--tolerance")
         modal = build_scenario(index, targets, args.seed)
 
         def window(pair: tuple[Fraction, Fraction]) -> dict:
@@ -833,11 +852,11 @@ def _config_delta_text(value) -> str:
     raise ParseError(f"delta grid entries must be numbers or strings, got {value!r}")
 
 
-def _experiment_targets(config: dict, table: CandidateTable) -> ScenarioTargets:
+def _experiment_targets(config: dict, index: GroupIndex) -> ScenarioTargets:
     scenario = config["scenario"]
     if isinstance(scenario, str):
         tolerance = _config_delta_text(config.get("tolerance", "0.05"))
-        return preset_targets(scenario, tolerance, table, "tolerance")
+        return preset_targets(scenario, tolerance, index, "tolerance")
     if not isinstance(scenario, dict) or not isinstance(scenario.get("arp", {}), dict):
         raise ParseError("scenario must be a preset name or a target object")
 
@@ -851,7 +870,7 @@ def _experiment_targets(config: dict, table: CandidateTable) -> ScenarioTargets:
 
     arp = {}
     for name, pair in scenario.get("arp", {}).items():
-        table.attribute_index(name)
+        index.table.attribute_index(name)
         arp[name] = window(pair, f"arp {name}")
     irp = None if scenario.get("irp") is None else window(scenario["irp"], "irp")
     return ScenarioTargets(arp, irp)
@@ -915,6 +934,9 @@ def cmd_experiment(args: argparse.Namespace) -> _Outputs:
             raise ParseError(f"{config_path}: {key!r} repeats an entry: {texts!r}")
     trials = parse_int(require("trials"), "trials", 1)
     num_rankings = parse_int(require("num_rankings"), "num_rankings", 1)
+    check_sample_size(
+        num_rankings * table.n * len(thetas) * trials, "num_rankings x thetas x trials"
+    )
     base_seed = parse_int(require("seed"), "seed")
     budget_ms = solver_budget_ms(config.get("budget_ms"), "budget_ms")
     max_exact_n = parse_int(
@@ -945,7 +967,7 @@ def cmd_experiment(args: argparse.Namespace) -> _Outputs:
         require("scenario")
         modal = build_scenario(
             report_index,
-            _experiment_targets(config, table),
+            _experiment_targets(config, report_index),
             parse_int(config.get("scenario_seed", base_seed), "scenario_seed"),
         )
 

@@ -355,33 +355,29 @@ def prefix_branch_and_bound(
     # of a completion depends on prefix order, not just the prefix set
     dominance: dict[int, int] | None = {} if not constraints else None
 
-    sizes = [[g.size for g in entity.groups] for entity, _ in constraints]
-    cons_omega = [[g.mixed_pairs for g in entity.groups] for entity, _ in constraints]
-    cons_delta = [(delta.numerator, delta.denominator) for _, delta in constraints]
-    # entities whose groups all share one mixed-pair denominator admit a
-    # stronger pure-integer test coupling the groups through their fixed
-    # total of favored pairs; precompute its window width and that total
-    cons_window = [
-        (omega[0] * dnum) // dden if len(set(omega)) == 1 and len(omega) > 2 else None
-        for omega, (dnum, dden) in zip(cons_omega, cons_delta)
-    ]
-    cons_total = [total_mixed_pair_count(counts, n) for counts in sizes]
-
-    # where each constraint's groups start in a state's counts; a group's
-    # members left sit `width` after its favored pairs
-    offsets: list[int] = []
+    # one record per constraint: where its groups start in a state's counts
+    # (a group's members left sit `width` after its favored pairs), its group
+    # ordinals, mixed-pair counts and threshold, and, when three or more
+    # groups share one mixed-pair denominator, the window width and fixed
+    # favored-pair total of the stronger `_window_feasible` test, else None
+    records = []
     width = 0
-    for counts in sizes:
-        offsets.append(width)
-        width += len(counts)
+    for entity, delta in constraints:
+        omega = [g.mixed_pairs for g in entity.groups]
+        dnum, dden = delta.numerator, delta.denominator
+        fit = None
+        if len(set(omega)) == 1 and len(omega) > 2:
+            total = total_mixed_pair_count([g.size for g in entity.groups], n)
+            fit = ((omega[0] * dnum) // dden, total)
+        records.append((width, entity.gid, omega, dnum, dden, fit))
+        width += len(omega)
     # a signature is the count positions of a candidate's groups, numbered
     # in order of first appearance: placing either of two candidates with
     # one signature changes every count alike
     signatures: dict[tuple[int, ...], int] = {}
-    gids = [entity.gid for entity, _ in constraints]
     sig = [
         signatures.setdefault(
-            tuple(at + gid[cand] for at, gid in zip(offsets, gids)), len(signatures)
+            tuple(at + gid[cand] for at, gid, *_ in records), len(signatures)
         )
         for cand in range(n)
     ]
@@ -389,17 +385,14 @@ def prefix_branch_and_bound(
 
     def check_constraints(counts: tuple[int, ...], rem_size: int) -> bool:
         """True while every constraint can still be met by some completion."""
-        for ci, at in enumerate(offsets):
-            f = counts[at : at + len(cons_omega[ci])]
+        for at, _, omega, dnum, dden, fit in records:
+            f = counts[at : at + len(omega)]
             rem_cnt = counts[width + at : width + at + len(f)]
-            window = cons_window[ci]
-            if window is not None:
+            if fit is not None:
                 his = [fg + r * (rem_size - r) for fg, r in zip(f, rem_cnt)]
-                if not _window_feasible(f, his, window, cons_total[ci]):
+                if not _window_feasible(f, his, *fit):
                     return False
             else:
-                omega = cons_omega[ci]
-                dnum, dden = cons_delta[ci]
                 lo_n, lo_d = f[0], omega[0]
                 hi_n, hi_d = f[0] + rem_cnt[0] * (rem_size - rem_cnt[0]), omega[0]
                 for g in range(1, len(f)):
@@ -439,7 +432,8 @@ def prefix_branch_and_bound(
         return child
 
     root = _CountState(
-        (0,) * width + tuple(size for counts in sizes for size in counts),
+        (0,) * width
+        + tuple(g.size for entity, _ in constraints for g in entity.groups),
         len(sig_slots),
     )
     states[root.counts] = root

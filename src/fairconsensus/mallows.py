@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DegenerateAttribute, DegenerateIntersection, ScenarioUnreachable
 from .metrics import GroupCountTracker
-from .model import Entity, GroupIndex, Ranking, RankingSet
+from .model import Entity, GroupIndex, Ranking, RankingSet, build_group_index
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -395,14 +395,7 @@ def build_scenario(
         if entity.name in targets.arp:
             jobs.append((entity, *_window(*targets.arp[entity.name])))
 
-    cell_of = (
-        index.intersection.gid
-        if index.intersection is not None
-        else tuple(
-            {v: i for i, v in enumerate(sorted(set(table.values)))}[v]
-            for v in table.values
-        )
-    )
+    cell_of = (index.intersection or build_group_index(table).intersection).gid
     cells = sorted(set(cell_of))
 
     for attempt in range(restarts):

@@ -745,11 +745,37 @@ class TestInputBoundary:
             pytest.param(
                 EXPERIMENT, {}, {"candidates": "ids.csv"}, id="config-scenario-one-cell"
             ),
+            pytest.param(
+                EXPERIMENT, {}, {"scenario": {"arp": {"height": ["0.7", "0.05"]}}},
+                id="config-scenario-unknown-attribute",
+            ),
+            pytest.param(
+                EXPERIMENT, {}, {"scenario": {"irp": ["1.00"]}},
+                id="config-scenario-window-not-pair",
+            ),
+            pytest.param(
+                [*GENERATE, "--theta", "0.5", "--num-rankings", _PAST_FLOAT], {}, None,
+                id="generate-num-rankings-oversized",
+            ),
+            pytest.param(
+                EXPERIMENT, {}, {"num_rankings": _PAST_FLOAT},
+                id="config-num-rankings-oversized",
+            ),
+            pytest.param(
+                EXPERIMENT, {}, {"trials": _PAST_FLOAT}, id="config-trials-oversized"
+            ),
         ],
     )
     def test_malformed_input_exits_2(
         self, grid_case, capsys, monkeypatch, argv, env, config
     ):
+        """Each exits 2 with one ``error:`` line before anything is sampled
+        or written."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("malformed input reached the sampler")
+
+        monkeypatch.setattr(cli, "sample_mallows", refuse)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         if config is not None:
@@ -918,6 +944,71 @@ class TestInputBoundary:
         assert main([*argv, "--out", "out"]) == 0
         rows = helpers.read_csv(written, dicts=True)
         assert rows and all(row["arp:race"] == "" and row["arp:gender"] for row in rows)
+
+    @pytest.mark.parametrize("command", ["generate", "experiment"])
+    def test_preset_scenario_skips_single_valued_attribute(self, grid_case, command):
+        """A preset targets only the attributes that have a spread: a
+        constant ``region`` beside race and gender is left out, and reruns
+        write the same bytes."""
+        write_candidates(
+            Path("region.csv"),
+            [
+                (cid, *row, "north")
+                for cid, row in zip(grid_case.candidate_ids, grid_case.values)
+            ],
+            ["candidate_id", "race", "gender", "region"],
+        )
+        if command == "generate":
+            argv = [*SCENARIO, *_SAMPLING]
+            argv[argv.index("--candidates") + 1] = "region.csv"
+            written = ["modal_report.json", "modal.csv", "rankings.csv"]
+        else:
+            config = {**SMALL_EXPERIMENT, "candidates": "region.csv"}
+            Path("config.json").write_text(json.dumps(config))
+            argv = list(EXPERIMENT)
+            written = ["runs.csv", "summary.csv"]
+        outputs = []
+        for out in ("out", "again"):
+            argv[argv.index("--out") + 1] = out
+            assert main(argv) == 0
+            outputs.append([(Path(out) / name).read_bytes() for name in written])
+        assert outputs[0] == outputs[1]
+        if command == "generate":
+            report = json.loads(Path("out/modal_report.json").read_text())
+            assert list(report["targets"]["arp"]) == ["race", "gender"]
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            pytest.param(
+                {
+                    "scenario": {
+                        "arp": {"race": ["0.70", "0.05"], "gender": ["0.70", "0.05"]},
+                        "irp": ["1.00", "0.05"],
+                    }
+                },
+                id="target-object",
+            ),
+            pytest.param({"deltas": [0.1, 0.3]}, id="numeric-deltas"),
+        ],
+    )
+    def test_config_spelling_matches_preset_and_strings(self, grid_case, changes):
+        """A target object that spells out ``low-fair``'s windows, and
+        thresholds given as JSON numbers, write the same ``runs.csv`` as the
+        preset name and the decimal strings."""
+        config = {
+            **SMALL_EXPERIMENT,
+            "methods": ["fair-kemeny", "fair-borda"],
+            "deltas": ["0.1", "0.3"],
+            "trials": 2,
+            "num_rankings": 50,
+        }
+        outputs = []
+        for out, spelled in (("out", config), ("again", {**config, **changes})):
+            Path("config.json").write_text(json.dumps(spelled))
+            assert main([*EXPERIMENT[:3], "--out", out]) == 0
+            outputs.append((Path(out) / "runs.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     @settings(
         max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture]
