@@ -377,9 +377,7 @@ def read_rankings(path: str | Path, table: CandidateTable) -> RankingSet:
             if cid in seen:
                 raise ParseError(f"{path}: row {row_no} repeats candidate {cid!r}")
             seen.add(cid)
-        missing = expected - seen
-        if missing:
-            raise ParseError(f"{path}: row {row_no} omits candidate {min(missing)!r}")
+        # `table.n` distinct known ids: every candidate once
         rankings.append(Ranking(tuple(row)))
     if not rankings:
         raise ParseError(f"{path}: no rankings found")

@@ -15,7 +15,10 @@ survivors are sorted.
 Under constraints the search carries interned group-count states down the
 prefix: the feasibility cut reads only a state's counts, so it runs once
 per distinct state, and each state memoizes where placing a candidate of
-each group signature leads.
+each group signature leads. The states depend on the constraints alone,
+not on the weights, so a ``GroupIndex`` keeps one table of them per
+constraint set and every fair search on that index reuses it; the table
+goes when the index goes.
 
 Determinism rules used throughout: candidates tie-break by ascending table
 index, children expand in ascending incremental-cost order, and the first
@@ -56,9 +59,10 @@ BUDGET_ENV_VAR = "FAIRCONSENSUS_BUDGET_MS"
 DEFAULT_MAX_EXACT_N = 25
 
 _DOMINANCE_CAP = 2_000_000  # max memoized prefix states
-# max interned group-count states per search. A dominance entry takes about
-# 120 bytes and a state at most about 3.2 kB (25 candidates in 35 groups), so
-# a full state table stays under a full dominance table's ~230 MB.
+# max interned group-count states per table, whether one search or every
+# search on one group index fills it. A dominance entry takes about 120 bytes
+# and a state at most about 3.2 kB (25 candidates in 35 groups), so a full
+# state table stays under a full dominance table's ~230 MB.
 _COUNT_STATE_CAP = 50_000
 
 
@@ -172,6 +176,122 @@ class _CountState:
         self.next: list[_CountState | bool | None] = [None] * signatures
 
 
+class _CountStates:
+    """The fair search's count-state table for one constraint set over ``n``
+    candidates: the constraint records, the signature numbering, the
+    feasibility cut and the interned states, from ``root`` on.
+
+    ``states`` maps every counts tuple reached to its state, or to False
+    where the cut fires, so the cut runs once per distinct tuple; it holds
+    at most ``_COUNT_STATE_CAP`` entries. The table is a pure function of
+    the constraints and ``n``: the weights never enter, so every search
+    under the same constraints may share one table, and the states and
+    ``next`` slots one search fills are exact for the next. ``GroupIndex``
+    keeps one per enabled ``(entity, threshold)`` set, built on first use
+    by ``of_index``.
+    """
+
+    __slots__ = ("records", "width", "sig", "sig_slots", "states", "root")
+
+    def __init__(self, constraints: Sequence[tuple[Entity, Fraction]], n: int) -> None:
+        # one record per constraint: where its groups start in a state's counts
+        # (a group's members left sit `width` after its favored pairs), its group
+        # ordinals, mixed-pair counts and threshold, and, when three or more
+        # groups share one mixed-pair denominator, the window width and fixed
+        # favored-pair total of the stronger `_window_feasible` test, else None
+        records = []
+        width = 0
+        for entity, delta in constraints:
+            omega = [g.mixed_pairs for g in entity.groups]
+            dnum, dden = delta.numerator, delta.denominator
+            fit = None
+            if len(set(omega)) == 1 and len(omega) > 2:
+                total = total_mixed_pair_count([g.size for g in entity.groups], n)
+                fit = ((omega[0] * dnum) // dden, total)
+            records.append((width, entity.gid, omega, dnum, dden, fit))
+            width += len(omega)
+        self.records = records
+        self.width = width
+        # a signature is the count positions of a candidate's groups, numbered
+        # in order of first appearance: placing either of two candidates with
+        # one signature changes every count alike
+        signatures: dict[tuple[int, ...], int] = {}
+        self.sig = [
+            signatures.setdefault(
+                tuple(at + gid[cand] for at, gid, *_ in records), len(signatures)
+            )
+            for cand in range(n)
+        ]
+        self.sig_slots = list(signatures)
+        self.root = _CountState(
+            (0,) * width
+            + tuple(g.size for entity, _ in constraints for g in entity.groups),
+            len(self.sig_slots),
+        )
+        self.states = {self.root.counts: self.root}
+
+    @classmethod
+    def of_index(
+        cls, index: GroupIndex, constraints: Sequence[tuple[Entity, Fraction]]
+    ) -> _CountStates:
+        """``index``'s table for ``constraints``, built on first use and kept
+        as long as the index."""
+        key = tuple(constraints)
+        table = index._count_states.get(key)
+        if table is None:
+            table = index._count_states[key] = cls(constraints, index.table.n)
+        return table
+
+    def check_constraints(self, counts: tuple[int, ...], rem_size: int) -> bool:
+        """True while every constraint can still be met by some completion."""
+        width = self.width
+        for at, _, omega, dnum, dden, fit in self.records:
+            f = counts[at : at + len(omega)]
+            rem_cnt = counts[width + at : width + at + len(f)]
+            if fit is not None:
+                his = [fg + r * (rem_size - r) for fg, r in zip(f, rem_cnt)]
+                if not _window_feasible(f, his, *fit):
+                    return False
+            else:
+                lo_n, lo_d = f[0], omega[0]
+                hi_n, hi_d = f[0] + rem_cnt[0] * (rem_size - rem_cnt[0]), omega[0]
+                for g in range(1, len(f)):
+                    og = omega[g]
+                    fn = f[g]
+                    if fn * lo_d > lo_n * og:
+                        lo_n, lo_d = fn, og
+                    hn = fn + rem_cnt[g] * (rem_size - rem_cnt[g])
+                    if hn * hi_d < hi_n * og:
+                        hi_n, hi_d = hn, og
+                # spread of any completion >= lo_n/lo_d - hi_n/hi_d
+                if (lo_n * hi_d - hi_n * lo_d) * dden > dnum * lo_d * hi_d:
+                    return False
+        return True
+
+    def successor(self, state: _CountState, s: int, size: int) -> _CountState | bool:
+        """The state after placing a signature-``s`` candidate at a node
+        with ``size`` candidates left, or False if the cut fires there."""
+        width = self.width
+        counts = list(state.counts)
+        for i in self.sig_slots[s]:
+            # the placed member is favored over every remaining non-member
+            counts[i] += size - counts[width + i]
+            counts[width + i] -= 1
+        key = tuple(counts)
+        child = self.states.get(key)
+        if child is None:
+            if self.check_constraints(key, size - 1):
+                child = _CountState(key, len(self.sig_slots))
+            else:
+                child = False
+            if len(self.states) < _COUNT_STATE_CAP:
+                self.states[key] = child
+            elif child:
+                return child
+        state.next[s] = child
+        return child
+
+
 def _check_count(value: int | None, what: str) -> None:
     if value is not None and (
         isinstance(value, bool) or not isinstance(value, int) or value < 0
@@ -262,7 +382,7 @@ def _window_feasible(
 def prefix_branch_and_bound(
     wm: list[list[int]],
     *,
-    constraints: Sequence[tuple[Entity, Fraction]] = (),
+    constraints: Sequence[tuple[Entity, Fraction]] | _CountStates = (),
     incumbent_order: Sequence[int] | None = None,
     deadline: float | None = None,
     max_nodes: int | None = None,
@@ -271,8 +391,11 @@ def prefix_branch_and_bound(
 
     ``constraints`` are the ``(Entity, threshold)`` pairs of
     ``fair.enabled_entities``; group sizes and mixed-pair counts are read
-    from each entity. ``incumbent_order``, when given, must be a permutation
-    of ``range(len(wm))``; its objective is computed here.
+    from each entity. They may also come as the ``_CountStates`` table
+    built for such pairs over ``len(wm)`` candidates, whose states the
+    search then reads and extends (``fair_kemeny`` passes its index's).
+    ``incumbent_order``, when given, must be a permutation of
+    ``range(len(wm))``; its objective is computed here.
 
     ``wm`` must be square with non-negative integer entries, of any size;
     numpy ints are taken as Python ints, and anything else (a ragged row, a
@@ -318,14 +441,17 @@ def prefix_branch_and_bound(
     and the child's signature alone. The cut reads nothing but the child's
     counts (the remaining-candidate total is their sum), so each state
     memoizes, per signature, its successor or the cut, and the cut runs
-    once per distinct (state, signature) pair. Successors are asked for
-    every child that passes the bound, before the adjacency prune. The
-    memo is exact: every node, and the order they are visited in, are
-    those of checking each child afresh. Without constraints there is one
-    signature and one state, never cut. At most ``_COUNT_STATE_CAP``
-    states are stored per search; past that, a new state is computed each
-    time it is reached and not stored. The table, like the per-node
-    lists, is released when the search returns.
+    once per distinct child counts. Successors are asked for every child
+    that passes the bound, before the adjacency prune. The memo is exact:
+    every node, and the order they are visited in, are those of checking
+    each child afresh. Without constraints there is one signature and one
+    state, never cut. The states live in a ``_CountStates`` table, which
+    stores at most ``_COUNT_STATE_CAP`` of them and of the counts the cut
+    rules out; past that, a new state is computed each time it is reached
+    and not stored. A table built here from the pairs is released, like
+    the per-node lists, when the search returns; a table passed in keeps
+    what the search added, and a later search on it visits the same nodes
+    as on a fresh one.
 
     ``max_nodes`` truncates the search after a fixed number of nodes, a
     deterministic alternative to a wall-clock deadline: reruns on the same
@@ -351,92 +477,16 @@ def prefix_branch_and_bound(
     best_order = list(incumbent_order) if incumbent_order is not None else None
     best_obj = ranking_objective(wm, best_order) if best_order is not None else None
     nodes = 0
+    table = (
+        constraints
+        if isinstance(constraints, _CountStates)
+        else _CountStates(constraints, n)
+    )
+    sig = table.sig
+    successor = table.successor
     # prefix-set dominance is only sound without constraints: feasibility
     # of a completion depends on prefix order, not just the prefix set
-    dominance: dict[int, int] | None = {} if not constraints else None
-
-    # one record per constraint: where its groups start in a state's counts
-    # (a group's members left sit `width` after its favored pairs), its group
-    # ordinals, mixed-pair counts and threshold, and, when three or more
-    # groups share one mixed-pair denominator, the window width and fixed
-    # favored-pair total of the stronger `_window_feasible` test, else None
-    records = []
-    width = 0
-    for entity, delta in constraints:
-        omega = [g.mixed_pairs for g in entity.groups]
-        dnum, dden = delta.numerator, delta.denominator
-        fit = None
-        if len(set(omega)) == 1 and len(omega) > 2:
-            total = total_mixed_pair_count([g.size for g in entity.groups], n)
-            fit = ((omega[0] * dnum) // dden, total)
-        records.append((width, entity.gid, omega, dnum, dden, fit))
-        width += len(omega)
-    # a signature is the count positions of a candidate's groups, numbered
-    # in order of first appearance: placing either of two candidates with
-    # one signature changes every count alike
-    signatures: dict[tuple[int, ...], int] = {}
-    sig = [
-        signatures.setdefault(
-            tuple(at + gid[cand] for at, gid, *_ in records), len(signatures)
-        )
-        for cand in range(n)
-    ]
-    sig_slots = list(signatures)
-
-    def check_constraints(counts: tuple[int, ...], rem_size: int) -> bool:
-        """True while every constraint can still be met by some completion."""
-        for at, _, omega, dnum, dden, fit in records:
-            f = counts[at : at + len(omega)]
-            rem_cnt = counts[width + at : width + at + len(f)]
-            if fit is not None:
-                his = [fg + r * (rem_size - r) for fg, r in zip(f, rem_cnt)]
-                if not _window_feasible(f, his, *fit):
-                    return False
-            else:
-                lo_n, lo_d = f[0], omega[0]
-                hi_n, hi_d = f[0] + rem_cnt[0] * (rem_size - rem_cnt[0]), omega[0]
-                for g in range(1, len(f)):
-                    og = omega[g]
-                    fn = f[g]
-                    if fn * lo_d > lo_n * og:
-                        lo_n, lo_d = fn, og
-                    hn = fn + rem_cnt[g] * (rem_size - rem_cnt[g])
-                    if hn * hi_d < hi_n * og:
-                        hi_n, hi_d = hn, og
-                # spread of any completion >= lo_n/lo_d - hi_n/hi_d
-                if (lo_n * hi_d - hi_n * lo_d) * dden > dnum * lo_d * hi_d:
-                    return False
-        return True
-
-    states: dict[tuple[int, ...], _CountState] = {}
-
-    def successor(state: _CountState, s: int, size: int) -> _CountState | bool:
-        """The state after placing a signature-``s`` candidate at a node
-        with ``size`` candidates left, or False if the cut fires there."""
-        counts = list(state.counts)
-        for i in sig_slots[s]:
-            # the placed member is favored over every remaining non-member
-            counts[i] += size - counts[width + i]
-            counts[width + i] -= 1
-        key = tuple(counts)
-        child = states.get(key)
-        if child is None:
-            if not check_constraints(key, size - 1):
-                state.next[s] = False
-                return False
-            child = _CountState(key, len(sig_slots))
-            if len(states) >= _COUNT_STATE_CAP:
-                return child
-            states[key] = child
-        state.next[s] = child
-        return child
-
-    root = _CountState(
-        (0,) * width
-        + tuple(g.size for entity, _ in constraints for g in entity.groups),
-        len(sig_slots),
-    )
-    states[root.counts] = root
+    dominance: dict[int, int] | None = {} if not table.records else None
 
     def rec(
         rem: list[int],
@@ -520,13 +570,14 @@ def prefix_branch_and_bound(
             0,
             full_lb,
             -1,
-            root,
+            table.root,
         )
     except _SearchAborted:
         completed = False
     finally:
-        # `rec` refers to itself; breaking that cycle frees the dominance and
-        # count-state tables now rather than at the next cyclic collection
+        # `rec` refers to itself; breaking that cycle frees the dominance
+        # table, and a count-state table built here, now rather than at the
+        # next cyclic collection
         rec = None
     return best_order, best_obj, completed, nodes
 

@@ -23,6 +23,7 @@ from typing import Literal, Sequence
 from .consensus import (
     DEFAULT_MAX_EXACT_N,
     KemenySolution,
+    _CountStates,
     _borda_order,
     _check_count,
     _deadline,
@@ -286,6 +287,11 @@ def fair_kemeny(
     deterministic; it must be ``None`` or a non-negative ``int``, checked
     before any solve. The unconstrained solve is not capped (only the time
     budget bounds it), and its nodes count in ``nodes_explored``.
+
+    The search's group-count state table lives with ``index``: every solve
+    under the same enabled thresholds reuses the states earlier solves on
+    that index interned, which changes no result, and the table is freed
+    with the index.
     """
     _check_count(max_nodes, "max_nodes")
     n = precedence.n
@@ -323,7 +329,7 @@ def fair_kemeny(
 
     order, objective, completed, nodes = prefix_branch_and_bound(
         wm,
-        constraints=pairs,
+        constraints=_CountStates.of_index(index, pairs),
         # the cheapest repaired seed; the first of equal ones
         incumbent_order=min(
             repaired_orders, key=lambda o: ranking_objective(wm, o), default=None

@@ -260,12 +260,19 @@ class GroupIndex:
     Holds one entity per declared attribute plus, when configured, one
     intersection entity whose groups are the observed value combinations of
     the intersection attributes.
+
+    ``_count_states`` keeps the fair search's group-count state table per
+    enabled ``(entity, threshold)`` tuple, filled by the searches run on
+    this index and freed with it (it takes no part in equality or hashing).
     """
 
     table: CandidateTable
     intersection_attrs: tuple[str, ...] | None
     attribute_entities: tuple[Entity, ...]
     intersection: Entity | None
+    _count_states: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def attribute(self, name: str) -> Entity:
         for entity in self.attribute_entities:

@@ -785,6 +785,74 @@ class TestInputBoundary:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not Path("out").exists()
 
+    @pytest.mark.parametrize(
+        "name, content, message",
+        [
+            ("candidates.csv", "", "empty candidates file"),
+            (
+                "candidates.csv",
+                "id,race\nc000,r0\n",
+                "first header column must be 'candidate_id', got 'id'",
+            ),
+            ("candidates.csv", "candidate_id,race,\n", "header column 3 is empty"),
+            (
+                "candidates.csv",
+                "candidate_id,race,race\n",
+                "duplicate attribute column in header",
+            ),
+            (
+                "candidates.csv",
+                "candidate_id,race\nc000,r0\nc001\n",
+                "row 3 has 1 cells, expected 2",
+            ),
+            (
+                "candidates.csv",
+                "candidate_id,race\n,r0\n",
+                "row 2 has an empty candidate_id",
+            ),
+            (
+                "candidates.csv",
+                "candidate_id,race\nc000,r0\nc000,r1\n",
+                "row 3 repeats candidate_id 'c000'",
+            ),
+            ("candidates.csv", "candidate_id,race\nc000,\n", "row 2 column 2 is empty"),
+            (
+                "candidates.csv",
+                "candidate_id,race\nc000,r0\n",
+                "a candidate table needs at least two candidates",
+            ),
+            (
+                "rankings.csv",
+                "{row}\nc000,c001\n",
+                "row 2 ranks 2 candidates, expected 12",
+            ),
+            (
+                "rankings.csv",
+                "{head},zzz\n",
+                "row 1 names unknown candidate 'zzz'",
+            ),
+            ("rankings.csv", "{head},c000\n", "row 1 repeats candidate 'c000'"),
+            ("rankings.csv", "", "no rankings found"),
+            (
+                "modal.csv",
+                "{row}\n{row}\n",
+                "modal file must hold exactly one ranking, found 2",
+            ),
+        ],
+    )
+    def test_malformed_file_exits_2(self, grid_case, capsys, name, content, message):
+        """Each bad candidates, rankings or modal file exits 2 with one
+        ``error:`` line naming the file and the fault, and writes nothing."""
+        ids = grid_case.candidate_ids
+        Path(name).write_text(
+            content.format(row=",".join(ids), head=",".join(ids[:-1]))
+        )
+        argv = [*GENERATE, *_SAMPLING] if name == "modal.csv" else METRICS
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {name}: {message}\n"
+        assert not Path("out").exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2**70)])
     def test_generate_takes_any_integer_seed(self, grid_case, seed):
         argv = [*GENERATE, "--theta", "0.5", "--num-rankings", "3"]

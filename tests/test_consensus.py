@@ -676,22 +676,28 @@ def _blocked_matrix(table, theta, seed, voters=40, scale=1):
     return build_precedence_matrix(weighted, table)
 
 
+def _solved(pm, spec, index, max_nodes):
+    """A capped ``fair_kemeny``'s (order, objective, optimal, nodes), or its
+    error's name."""
+    try:
+        solution = fair_kemeny(pm, spec, index, max_nodes=max_nodes)
+    except (Infeasible, BudgetExceeded) as exc:
+        return type(exc).__name__
+    return (
+        solution.ranking.order,
+        solution.objective,
+        solution.optimal,
+        solution.nodes_explored,
+    )
+
+
 def _searched(pm, spec, index, max_nodes):
     """A capped search from no incumbent, then a capped ``fair_kemeny``."""
     constraints = enabled_entities(spec, index)
     bare = prefix_branch_and_bound(
         pm.cost_lists(), constraints=constraints, max_nodes=max_nodes
     )
-    try:
-        solution = fair_kemeny(pm, spec, index, max_nodes=max_nodes)
-    except (Infeasible, BudgetExceeded) as exc:
-        return bare, type(exc).__name__
-    return bare, (
-        solution.ranking.order,
-        solution.objective,
-        solution.optimal,
-        solution.nodes_explored,
-    )
+    return bare, _solved(pm, spec, index, max_nodes)
 
 
 def _sha(value) -> str:
@@ -862,3 +868,59 @@ NO_INCUMBENT_DIGEST = "761f93360555b50dbd637e2336d392fd7e4887b4ebec0dd6b8caa4872
 UNCONSTRAINED_DIGEST = "83873c06b74208d3926a5ab5e98486fe6ca9d482418a20192a91a70ef176b4c6"
 HUGE_WEIGHTS_DIGEST = "6be703ce70ae12ad988324b3e285b4d3bb815c3f488131d66c8e704bb82f7932"
 DEGENERATE_DIGEST = "6c059f1ab19c24a39be154ba8cc05216090f3b7e3d47cffe0b6184ba07c09790"
+
+
+class TestSharedCountStates:
+    """Every fair search on one group index reads and extends the count-state
+    table of its constraint set, which the index keeps and frees."""
+
+    @pytest.mark.parametrize("state_cap", [None, 0, 64])
+    def test_solves_on_one_index_match_fresh_ones(self, monkeypatch, state_cap):
+        # three thresholds, so three tables, filled in either order; past
+        # the cap a state is computed afresh each time
+        if state_cap is not None:
+            monkeypatch.setattr(consensus, "_COUNT_STATE_CAP", state_cap)
+        table = helpers.grid_table(10, 3, 2)
+        specs = [FairnessSpec(delta_default=Fraction(d, 10)) for d in (1, 2, 3)]
+        cases = [
+            (spec, _blocked_matrix(table, theta, seed))
+            for spec in specs
+            for theta, seed in ((0.3, 11), (0.6, 12), (1.0, 13))
+        ]
+        fresh = [
+            _solved(pm, spec, spec.build_index(table), 1_500) for spec, pm in cases
+        ]
+        # proofs of infeasibility, a proven optimum and capped searches
+        assert {r if isinstance(r, str) else r[2] for r in fresh} == {
+            "Infeasible",
+            True,
+            False,
+        }
+        for order in (range(len(cases)), reversed(range(len(cases)))):
+            index = specs[0].build_index(table)
+            for i in order:
+                spec, pm = cases[i]
+                assert _solved(pm, spec, index, 1_500) == fresh[i]
+            assert len(index._count_states) == 3
+
+    def test_table_freed_with_its_index(self):
+        # the table outlives the search while its index lives, then goes
+        # with it; the collector is off, so nothing waits for a cycle sweep
+        table = helpers.grid_table(24, 4, 3)
+        spec = FairnessSpec(delta_default=Fraction(1, 10))
+        pm = _blocked_matrix(table, 0.5, 23)
+        gc.disable()
+        try:
+            tracemalloc.start()
+            before = tracemalloc.get_traced_memory()[0]
+            index = spec.build_index(table)
+            solution = fair_kemeny(pm, spec, index, max_nodes=6_000)
+            kept = tracemalloc.get_traced_memory()[0] - before
+            del index
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert solution.nodes_explored > 5_000
+        assert kept > 1_000_000
+        assert held < 100_000
