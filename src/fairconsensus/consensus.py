@@ -39,9 +39,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InstanceTooLarge, ParseError
+from .errors import InconsistentCandidateSet, InstanceTooLarge, ParseError
 from .metrics import FairnessSpec, entity_spread
 from .model import (
+    _STREAM_CHUNK,
     Entity,
     GroupIndex,
     PrecedenceMatrix,
@@ -144,12 +145,29 @@ def _by_wins(precedence: PrecedenceMatrix, wins: np.ndarray) -> Ranking:
 def _add_row_points(points: list[int], rows: np.ndarray) -> list[int]:
     """``points`` plus the positional points of rows of table indices.
 
-    Row ``r`` ranks ``rows[r, k]`` k-th, worth ``n - 1 - k`` points. A
-    batch's totals count in int64 and add to ``points`` in Python ints.
+    Row ``r`` ranks ``rows[r, k]`` k-th, worth ``n - 1 - k`` points, for
+    ``n = len(points)``. A batch that is not 2-D, is not ``n`` wide or holds
+    an entry outside [0, n) raises ``InconsistentCandidateSet``. A batch's
+    totals count in int64, a chunk of rows at a time, and add to ``points``
+    in Python ints.
     """
-    m, n = rows.shape
+    n = len(points)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise InconsistentCandidateSet(
+            f"ranking rows must have shape (rows, {n}), got {rows.shape}"
+        )
     earned = np.zeros(n, dtype=np.int64)
-    np.add.at(earned, rows.ravel(), np.tile(np.arange(n - 1, -1, -1), m))
+    chunk = max(1, _STREAM_CHUNK // max(n, 1))
+    # the points stay tiled, one chunk long: np.add.at with a 2-D index and
+    # broadcast 1-D points read garbage and crashed on numpy 2.4
+    worth = np.tile(np.arange(n - 1, -1, -1), min(chunk, len(rows)))
+    for r in range(0, len(rows), chunk):
+        part = rows[r : r + chunk].ravel()
+        if part.size and (part.min() < 0 or part.max() >= n):
+            raise InconsistentCandidateSet(
+                f"ranking rows hold an entry outside [0, {n})"
+            )
+        np.add.at(earned, part, worth[: part.size])
     return [p + e for p, e in zip(points, earned.tolist())]
 
 
@@ -630,13 +648,20 @@ def borda(rankings: RankingSet, table) -> Ranking:
 def borda_streamed(batches, table) -> Ranking:
     """Borda consensus from batched integer ranking rows.
 
-    ``batches`` yields arrays of shape (rows, n) whose entries are table
-    indices, e.g. from the ranking generator's batch iterator. The result
-    matches ``borda`` on the materialized set.
+    ``batches`` yields arrays of shape (rows, n) whose rows are permutations
+    of the table indices, e.g. from the ranking generator's batch iterator.
+    The result matches ``borda`` on the materialized set. A batch of
+    another shape, or with an entry outside [0, n), raises
+    ``InconsistentCandidateSet``; a row that repeats an index is not
+    caught.
+
+    Working set: the batch at hand plus a scratch of about ``_STREAM_CHUNK``
+    elements (or one row); no batch is kept while the next is drawn.
     """
     points = [0] * table.n
     for rows in batches:
         points = _add_row_points(points, rows)
+        del rows  # not held while ``batches`` makes the next one
     return ranking_from_indices(_by_points(points), table)
 
 

@@ -15,11 +15,15 @@ the k-th output of ``SplitMix64(mix(seed + gamma * (r + 1)))``, making
 output independent of generation order or batching.
 
 A batch decodes one insertion step at a time across all of its rankings
-(Lu & Boutilier, JMLR 2014): every step draws its uniforms as one row,
-finds each ranking's insertion point, and shifts the earlier candidates at
-or after that point down by one in a position array of the narrowest
-integer type that holds n (``int8`` up to n = 127); one scatter then
-writes the finished rows.
+(Lu & Boutilier, JMLR 2014): each step reads one row of uniforms, finds
+each ranking's insertion point, and shifts the earlier candidates at or
+after that point down by one in a position array of the narrowest integer
+type that holds n (``int8`` up to n = 127); a scatter then writes the
+finished rows. The uniforms are made a block of steps at a time, in place
+in two reused buffers, and the scatter runs a chunk of rows at a time,
+each sized by the element budget ``_STREAM_CHUNK``: besides its rows, a
+batch holds its position array and a fixed scratch, never a second
+batch-sized array.
 
 A large batch finds its insertion points through a guide table (Chen &
 Asau, AIIE Trans. 1974) instead of a binary search per key: the table
@@ -32,13 +36,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DegenerateAttribute, DegenerateIntersection, ScenarioUnreachable
 from .metrics import GroupCountTracker
-from .model import Entity, GroupIndex, Ranking, RankingSet, build_group_index
+from .model import (
+    _STREAM_CHUNK,
+    Entity,
+    GroupIndex,
+    Ranking,
+    RankingSet,
+    build_group_index,
+)
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -85,25 +97,46 @@ def derive_seed(seed: int, *parts: int) -> int:
     return state
 
 
-def _uniform_matrix(seed: int, start_index: int, count: int, width: int) -> np.ndarray:
-    """Uniforms in [0, 1), step-major: column k is ranking start+k's substream."""
+def _uniform_matrix(
+    seed: int, start_index: int, count: int, width: int
+) -> Iterator[np.ndarray]:
+    """Uniforms in [0, 1) for steps 1..width, a block of steps at a time.
+
+    Column k of every block is ranking start+k's substream; the blocks'
+    rows, read in order, are its steps. A block holds about
+    ``_STREAM_CHUNK`` elements (at least one step) and reuses the memory of
+    the block before it, so read each block before asking for the next.
+    """
     indices = np.arange(start_index, start_index + count, dtype=np.uint64)
     with np.errstate(over="ignore"):
         sub = np.uint64(seed & _MASK) + np.uint64(_GAMMA) * (indices + np.uint64(1))
-        sub = _mix64_np(sub)
         steps = np.uint64(_GAMMA) * np.arange(1, width + 1, dtype=np.uint64)
-        words = _mix64_np(steps[:, None] + sub[None, :])
-    return words * _INV_2_64
+    _mix64_np(sub, np.empty_like(sub))
+    block = max(1, min(width, _STREAM_CHUNK // count))
+    words = np.empty((block, count), dtype=np.uint64)
+    scratch = np.empty_like(words)
+    for first in range(0, width, block):
+        z = words[: width - first]
+        tmp = scratch[: len(z)]
+        np.add(steps[first : first + block, None], sub, out=z)
+        _mix64_np(z, tmp)
+        # the finalizer is done with ``tmp``: its bytes take the floats
+        uniforms = tmp.view(np.float64)
+        np.multiply(z, _INV_2_64, out=uniforms)
+        yield uniforms
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    """The finalizer of ``_mix64_int``, applied in place to a fresh array."""
-    z ^= z >> np.uint64(30)
+def _mix64_np(z: np.ndarray, tmp: np.ndarray) -> None:
+    """The finalizer of ``_mix64_int``, in place on ``z``; ``tmp`` is
+    scratch of the same shape and dtype."""
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
     z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
     z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
 
 
 @dataclass(frozen=True)
@@ -141,7 +174,8 @@ def _insertion_cumsums(n: int, theta: float) -> list[np.ndarray]:
 #: per key, the table a fixed cost per step; the two met near 6 000 rows at
 #: size 4, 3 000 at 32, 2 000 at 128 and 1 300 at 2 048 on a 2-core Xeon VM)
 #: and ``rows >= _GUIDE_ROWS_PER_ENTRY * size``, which keeps the tables a
-#: call holds under half the size of one batch's uniforms.
+#: call holds (16 bytes an entry, one table a step) under half the bytes of
+#: one batch's rows.
 _GUIDE_MIN_WORK = 14_000
 _GUIDE_ROWS_PER_ENTRY = 4
 
@@ -216,6 +250,14 @@ def iter_ranking_batches(
     ``num_rankings`` (0 yields nothing) and a ``batch_size`` below 1 raise
     ``ValueError``.
 
+    Working set: one batch's rows (``int64``, 8 bytes a cell) and position
+    array (1 to 4 bytes a cell), scratch buffers of about ``_STREAM_CHUNK``
+    elements each (one step's ``count`` elements when a batch is larger
+    than that), and the guide tables, kept under half the bytes of the
+    rows (100 kB at n = 100 and 8 192 rows). The generator drops each batch
+    once yielded, so a consumer that also drops it (as ``borda_streamed``
+    does) never holds two batches at once.
+
     Each step finds its batch's insertion points through a guide table
     (``_GuideTable``, built at most once per call) when the batch is large
     enough to pay for it (``_guide_pays``), and by one binary search per key
@@ -234,6 +276,8 @@ def iter_ranking_batches(
     pos_dtype = next(
         dt for dt in (np.int8, np.int16, np.int32) if n <= np.iinfo(dt).max
     )
+    # as an index, ``pos`` widens to 8 bytes a cell: scatter a chunk at a time
+    chunk = max(1, _STREAM_CHUNK // max(n, 1))
     # the first batch is the largest, so it decides which steps need a table
     rows_per_batch = min(batch_size, num_rankings)
     guides = [
@@ -244,21 +288,25 @@ def iter_ranking_batches(
     ]
     for start in range(0, num_rankings, batch_size):
         count = min(batch_size, num_rankings - start)
-        uniforms = _uniform_matrix(seed, start, count, n - 1)
+        uniforms = chain.from_iterable(_uniform_matrix(seed, start, count, n - 1))
         # pos[i, r]: where row r currently holds the i-th modal candidate
         pos = np.zeros((n, count), dtype=pos_dtype)
         for step, (cum, guide) in enumerate(zip(cums, guides)):
-            # no view of ``uniforms`` outlives the call, so ``del`` frees it
-            point = _insertion_points(cum, uniforms[step], guide).astype(pos_dtype)
+            # no view of a uniform block outlives the call, so ``del`` frees them
+            point = _insertion_points(cum, next(uniforms), guide).astype(pos_dtype)
             earlier = pos[: step + 1]
             # candidates at or after the insertion point move down one; the
             # int8 view keeps the add on numpy's integer loop, not a bool cast
             earlier += (earlier >= point).view(np.int8)
             pos[step + 1] = point
-        del uniforms  # spent; free them before the rows are allocated
+        del uniforms  # spent; free their buffers before the rows are allocated
         rows = np.empty((count, n), dtype=np.int64)
-        rows[np.arange(count), pos] = modal[:, None]
+        lanes = np.arange(count)
+        for r in range(0, count, chunk):
+            rows[lanes[r : r + chunk], pos[:, r : r + chunk]] = modal[:, None]
+        del pos
         yield rows
+        del rows  # the consumer's now; keep none alive while the next is made
 
 
 def sample_mallows(config: MallowsConfig) -> RankingSet:

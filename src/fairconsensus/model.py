@@ -23,6 +23,12 @@ ALL = "all"
 #: Entity name used for the intersection of protected attributes.
 INTERSECTION = "intersection"
 
+#: Element budget of one block of streamed ranking rows: the sampler's
+#: uniforms and scatter and the streamed Borda's sums each work on about
+#: this many elements at a time (at least one step or row), 512 kB of
+#: 64-bit scratch, so a batch never has a second batch-sized array beside it.
+_STREAM_CHUNK = 1 << 16
+
 
 def total_pair_count(n: int) -> int:
     """Number of unordered candidate pairs among ``n`` candidates."""

@@ -29,6 +29,7 @@ from fairconsensus import (
     copeland,
     fair_kemeny,
     fairness_sort_key,
+    iter_ranking_batches,
     kemeny_exact,
     kemeny_weighted,
     pick_fairest,
@@ -37,14 +38,19 @@ from fairconsensus import (
     sample_mallows,
     schulze,
 )
-from fairconsensus import consensus
+from fairconsensus import consensus, mallows
 from fairconsensus.errors import (
     InconsistentCandidateSet,
     InstanceTooLarge,
     ParseError,
 )
 from fairconsensus.fair import enabled_entities
-from fairconsensus.model import ALL, build_group_index, total_mixed_pair_count
+from fairconsensus.model import (
+    ALL,
+    build_group_index,
+    ranking_from_indices,
+    total_mixed_pair_count,
+)
 
 import helpers
 
@@ -110,8 +116,27 @@ class TestBorda:
             rows = np.array(
                 [r.to_indices(table) for r in rankings.rankings], dtype=np.int64
             )
-            batches = [rows[:7], rows[7:8], rows[8:]]
+            batches = [rows[:7], rows[7:7], rows[7:8], rows[8:]]
             assert borda_streamed(iter(batches), table) == borda(rankings, table)
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            np.zeros((2, 2), dtype=np.int64),
+            np.zeros((2, 4), dtype=np.int64),
+            np.arange(3),
+            np.arange(3).reshape(1, 1, 3),
+            np.array([[0, 1, 2], [2, -1, 0]]),
+            np.array([[0, 1, 2], [3, 1, 0]]),
+        ],
+        ids=["narrow", "wide", "1-d", "3-d", "negative", "past-n"],
+    )
+    def test_streamed_rejects_malformed_batch(self, abc_table, batch):
+        # a narrow batch used to return a ranking short of the table, a wide
+        # one dropped a column and -1 counted for the last candidate
+        batches = iter([np.array([[0, 1, 2]]), batch])
+        with pytest.raises(InconsistentCandidateSet):
+            borda_streamed(batches, abc_table)
 
     def test_points_are_precedence_column_sums(self, rng):
         """Weighted positional points equal the precedence matrix's column
@@ -143,6 +168,55 @@ class TestBorda:
             (Ranking(("c", "b", "a")), Ranking(("a", "b", "c"))), (w + 1, w)
         )
         assert borda(rankings, abc_table) == Ranking(("c", "b", "a"))
+
+
+class TestStreamedWorkingSet:
+    """The sampler and the streamed Borda hold one batch of rows at a time,
+    and their block and chunk edges leave every output unchanged."""
+
+    def test_peak_is_about_one_batch(self):
+        # one batch's rows are 8192 * 100 * 8 bytes; a whole batch's uniforms,
+        # scatter index or tiled points, or a batch kept across ``next()``,
+        # would each add about as much again
+        table = helpers.grid_table(100, 2, 2)
+        batches = iter_ranking_batches(range(100), 0.6, 3 * 8192, 6, batch_size=8192)
+        gc.disable()
+        try:
+            tracemalloc.start()
+            before = tracemalloc.get_traced_memory()[0]
+            borda_streamed(batches, table)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak < 1.6 * 8192 * 100 * 8
+
+    @pytest.mark.parametrize("budget", [1, 7, 29])
+    @pytest.mark.parametrize(
+        ("n", "num_rankings", "batch_size"),
+        [(0, 3, 2), (1, 4, 3), (2, 5, 5), (3, 11, 5), (6, 20, 7), (9, 11, 2)],
+    )
+    def test_chunk_edges_keep_outputs(
+        self, monkeypatch, budget, n, num_rankings, batch_size
+    ):
+        # at budget 7 and 29 some batch ends on a part-full step block,
+        # scatter chunk or Borda chunk (e.g. 29 at n = 6: steps 4 + 1, rows
+        # 4 + 3); at 1 every block is one step and every chunk one row
+        monkeypatch.setattr(mallows, "_STREAM_CHUNK", budget)
+        monkeypatch.setattr(consensus, "_STREAM_CHUNK", budget)
+        modal = list(range(n - 1, -1, -1))
+        batches = list(iter_ranking_batches(modal, 0.4, num_rankings, 97, batch_size))
+        rows = [row for b in batches for row in b.tolist()]
+        if n == 0:
+            assert rows == [[]] * num_rankings
+            return
+        assert rows == helpers.reference_mallows(modal, 0.4, num_rankings, 97)
+        if n >= 2:  # a candidate table needs two
+            table = helpers.grid_table(n, 1, 1)
+            rankings = RankingSet(
+                tuple(ranking_from_indices(row, table) for row in rows)
+            )
+            assert borda_streamed(iter(batches), table) == borda(rankings, table)
 
 
 class TestBudgetEnvironment:

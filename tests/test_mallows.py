@@ -272,7 +272,9 @@ class TestGuideTable:
                 bucket / size,  # on a bucket edge
                 np.nextafter(bucket / size, -1.0).clip(0.0),  # just below one
                 data.draw(st.lists(st.floats(0, 1), max_size=50)),
-                _uniform_matrix(data.draw(st.integers(0, 2**64 - 1)), 0, 2000, 1)[0],
+                next(
+                    _uniform_matrix(data.draw(st.integers(0, 2**64 - 1)), 0, 2000, 1)
+                )[0],
             ]
         )
         assert np.array_equal(guide.lookup(cum, u), _clamped_search(cum, u))

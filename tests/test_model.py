@@ -28,6 +28,110 @@ from fairconsensus.model import (
 import helpers
 
 
+# every argument check in the model module, as (call on the abc table,
+# error, message)
+_MODEL_ERRORS = [
+    (
+        lambda t: total_pair_count(-1),
+        ValueError,
+        "candidate count must be non-negative, got -1",
+    ),
+    (lambda t: mixed_pair_count(4, 3), ValueError, "group size 4 outside [0, 3]"),
+    (
+        lambda t: total_mixed_pair_count([1, 1], 3),
+        ValueError,
+        "group sizes [1, 1] do not partition 3 candidates",
+    ),
+    (
+        lambda t: CandidateTable(("a",), ("x",), (("1",),)),
+        ValueError,
+        "a candidate table needs at least two candidates",
+    ),
+    (
+        lambda t: CandidateTable(("a", "b"), ("x",), (("1",),)),
+        ValueError,
+        "one value row per candidate is required",
+    ),
+    (
+        lambda t: CandidateTable(("a", ""), ("x",), (("1",), ("2",))),
+        ValueError,
+        "candidate ids must be non-empty",
+    ),
+    (
+        lambda t: CandidateTable(("a", "b"), ("x", "y"), (("1", "2"), ("3",))),
+        ValueError,
+        "candidate 'b' has 1 values for 2 attributes",
+    ),
+    (
+        lambda t: CandidateTable(("a", "a"), ("x",), (("1",), ("2",))),
+        ValueError,
+        "candidate ids must be unique",
+    ),
+    (
+        lambda t: t.index_of("zz"),
+        InconsistentCandidateSet,
+        "unknown candidate id 'zz'",
+    ),
+    (
+        lambda t: t.attribute_index("zz"),
+        UnknownAttribute,
+        "attribute 'zz' is not declared (declared: ['team'])",
+    ),
+    (
+        lambda t: Ranking(("a", "a", "b")),
+        InconsistentCandidateSet,
+        "ranking repeats a candidate id",
+    ),
+    (
+        lambda t: Ranking(("a", "b")).to_indices(t),
+        InconsistentCandidateSet,
+        "ranking has 2 candidates, table has 3",
+    ),
+    (
+        lambda t: RankingSet(()),
+        InconsistentCandidateSet,
+        "a ranking set cannot be empty",
+    ),
+    (
+        lambda t: RankingSet((Ranking(("a", "b")),), (1, 2)),
+        ValueError,
+        "one weight per ranking is required",
+    ),
+    (
+        lambda t: RankingSet((Ranking(("a", "b")),), (0,)),
+        ValueError,
+        "weights must be positive integers",
+    ),
+    (
+        lambda t: RankingSet((Ranking(("a", "b")), Ranking(("a", "c")))),
+        InconsistentCandidateSet,
+        "ranking 1 is not a permutation of the shared candidate set",
+    ),
+    (
+        lambda t: RankingSet((Ranking(("a", "b")),)).positions(["a", "a"]),
+        InconsistentCandidateSet,
+        "ids do not list the ranking set's candidates",
+    ),
+    (
+        lambda t: build_group_index(t).attribute("zz"),
+        UnknownAttribute,
+        "attribute 'zz' is not declared (declared: [team])",
+    ),
+    (
+        lambda t: build_group_index(t, intersection_attrs=()),
+        UnknownAttribute,
+        "intersection attribute subset cannot be empty",
+    ),
+]
+
+
+@pytest.mark.parametrize(("call", "error", "message"), _MODEL_ERRORS)
+def test_argument_checks_name_the_fault(abc_table, call, error, message):
+    with pytest.raises(error) as raised:
+        call(abc_table)
+    assert str(raised.value) == message
+
+
 class TestCandidateTable:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError):
