@@ -185,13 +185,20 @@ class _CountState:
     fires, else the child state. A node asks for the slot of every child
     the bound lets through, before the sort, so a child later skipped by
     the adjacency prune or a tightened bound may still fill its slot.
+
+    ``dead`` is set by ``_CountStates.mark_dead`` once the filled slots show
+    the cut fires for every signature whose groups all have members left:
+    no node with these counts has a child, whatever its remaining
+    candidates and its bound. Like the slots it depends on the counts
+    alone.
     """
 
-    __slots__ = ("counts", "next")
+    __slots__ = ("counts", "next", "dead")
 
     def __init__(self, counts: tuple[int, ...], signatures: int) -> None:
         self.counts = counts
         self.next: list[_CountState | bool | None] = [None] * signatures
+        self.dead = False
 
 
 class _CountStates:
@@ -204,9 +211,9 @@ class _CountStates:
     at most ``_COUNT_STATE_CAP`` entries. The table is a pure function of
     the constraints and ``n``: the weights never enter, so every search
     under the same constraints may share one table, and the states and
-    ``next`` slots one search fills are exact for the next. ``GroupIndex``
-    keeps one per enabled ``(entity, threshold)`` set, built on first use
-    by ``of_index``.
+    ``next`` slots one search fills are exact for the next, and so is a
+    state's ``dead`` mark. ``GroupIndex`` keeps one per enabled ``(entity,
+    threshold)`` set, built on first use by ``of_index``.
     """
 
     __slots__ = ("records", "width", "sig", "sig_slots", "states", "root")
@@ -308,6 +315,21 @@ class _CountStates:
                 return child
         state.next[s] = child
         return child
+
+    def mark_dead(self, state: _CountState) -> None:
+        """Mark ``state`` dead if every signature whose groups all have
+        members left already holds ``False`` in its slot.
+
+        Those signatures include every candidate a node with these counts
+        can have left, so such a node has no child. Only filled slots are
+        read: a slot still ``None`` keeps the state live, and no successor
+        is computed here.
+        """
+        left = state.counts[self.width :]
+        for s, at in enumerate(self.sig_slots):
+            if state.next[s] is not False and all(left[i] for i in at):
+                return
+        state.dead = True
 
 
 def _check_count(value: int | None, what: str) -> None:
@@ -460,16 +482,22 @@ def prefix_branch_and_bound(
     counts (the remaining-candidate total is their sum), so each state
     memoizes, per signature, its successor or the cut, and the cut runs
     once per distinct child counts. Successors are asked for every child
-    that passes the bound, before the adjacency prune. The memo is exact:
-    every node, and the order they are visited in, are those of checking
-    each child afresh. Without constraints there is one signature and one
-    state, never cut. The states live in a ``_CountStates`` table, which
-    stores at most ``_COUNT_STATE_CAP`` of them and of the counts the cut
-    rules out; past that, a new state is computed each time it is reached
-    and not stored. A table built here from the pairs is released, like
-    the per-node lists, when the search returns; a table passed in keeps
-    what the search added, and a later search on it visits the same nodes
-    as on a fresh one.
+    that passes the bound, before the adjacency prune. A node that finds
+    no child although the bound cut none of its candidates has its state
+    marked dead (``_CountStates.mark_dead``) if the cut fires for every
+    signature with members left; a later child at a dead state is counted,
+    against ``max_nodes`` and the deadline, and not entered, since entered
+    it would find every candidate cut and ask for no successor. The memo
+    and the mark are exact: every node, and the order they are visited
+    in, are those of checking each child afresh. Without constraints
+    there is one signature and one state, never cut. The states live in a
+    ``_CountStates`` table, which stores at most ``_COUNT_STATE_CAP`` of
+    them and of the counts the cut rules out; past that, a new state is
+    computed each time it is reached and not stored. A table built here
+    from the pairs is released, like the per-node lists, when the search
+    returns; a table passed in keeps what the search added, marks
+    included, and a later search on it visits the same nodes as on a
+    fresh one.
 
     ``max_nodes`` truncates the search after a fixed number of nodes, a
     deterministic alternative to a wall-clock deadline: reruns on the same
@@ -491,10 +519,13 @@ def prefix_branch_and_bound(
         [((wm[r][c] - mins[c][r]) << shift) + mins[c][r] for r in range(n)]
         for c in range(n)
     ]
+    # every candidate's packed row sums; a node's sums only fall from these,
+    # so `unbounded` cuts nothing: the bar while there is no incumbent
+    root_vals = [sum(col) for col in zip(*packed)]
+    unbounded = max(root_vals, default=0) + 1
 
     best_order = list(incumbent_order) if incumbent_order is not None else None
     best_obj = ranking_objective(wm, best_order) if best_order is not None else None
-    nodes = 0
     table = (
         constraints
         if isinstance(constraints, _CountStates)
@@ -516,11 +547,7 @@ def prefix_branch_and_bound(
         state: _CountState,
     ) -> None:
         nonlocal best_order, best_obj, nodes
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise _SearchAborted
-        if deadline is not None and nodes % 512 == 0 and time.perf_counter() > deadline:
-            raise _SearchAborted
+        # the caller has counted this node
         if not rem:
             if best_obj is None or cost < best_obj:
                 best_obj = cost
@@ -537,10 +564,12 @@ def prefix_branch_and_bound(
         # be skipped at their turn too, so they never reach the sort
         size = len(rem)
         successors = state.next
-        bar = None if best_obj is None else (best_obj - cost - lb) << shift
+        bar = unbounded if best_obj is None else (best_obj - cost - lb) << shift
         children = []
+        bound_cut = False  # has the bound ruled out a candidate?
         for k, v in enumerate(vals):
-            if bar is not None and v >= bar:
+            if v >= bar:
+                bound_cut = True
                 continue
             c = rem[k]
             s = sig[c]
@@ -549,6 +578,12 @@ def prefix_branch_and_bound(
                 child = successor(state, s, size)
             if child is not False:
                 children.append(((v >> shift) + (v & low), c, k, child))
+        if not children:
+            # no child, and the bound cut none: the cut alone emptied this
+            # node, so its state may be dead for every node that reaches it
+            if not bound_cut:
+                table.mark_dead(state)
+            return
         children.sort()
 
         for inc, c, k, child in children:
@@ -560,6 +595,15 @@ def prefix_branch_and_bound(
                 # swapping the adjacent pair is strictly cheaper, and only
                 # safe to rely on when it cannot change any group's favored
                 # counts: the pair shares one signature
+                continue
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                raise _SearchAborted
+            if deadline is not None and nodes % 512 == 0 and time.perf_counter() > deadline:
+                raise _SearchAborted
+            if child.dead:
+                # the child would find every candidate cut and ask for no
+                # successor: counted, never entered
                 continue
             col = packed[c]
             child_rem = rem[:]
@@ -579,11 +623,13 @@ def prefix_branch_and_bound(
 
     prefix: list[int] = []
     completed = True
+    nodes = 1  # the root
     try:
+        if max_nodes is not None and nodes > max_nodes:
+            raise _SearchAborted
         rec(
             list(range(n)),
-            # every candidate's packed row sums
-            [sum(col) for col in zip(*packed)],
+            root_vals,
             (1 << n) - 1,
             0,
             full_lb,

@@ -159,14 +159,14 @@ def _check_theta(theta: float) -> None:
         raise ValueError(f"theta must be non-negative, got {theta}")
 
 
-def _insertion_cumsums(n: int, theta: float) -> list[np.ndarray]:
-    """cums[i] for step i+2: cumulative insertion weights, small terms first.
+def _insertion_cumsum(powers: np.ndarray, i: int) -> np.ndarray:
+    """Step ``i``'s cumulative insertion weights, small terms first.
 
-    The i-th modal candidate weighs its i slots phi**(i-1), ..., phi**0 from
-    the top, so every step reads a reversed prefix of one power table.
+    ``powers`` holds phi**0, phi**1, ...: the i-th modal candidate weighs
+    its i slots phi**(i-1), ..., phi**0 from the top, so every step reads a
+    reversed prefix of one power table.
     """
-    powers = float(np.exp(-theta)) ** np.arange(n, dtype=np.float64)
-    return [np.cumsum(powers[i - 1 :: -1]) for i in range(2, n + 1)]
+    return np.cumsum(powers[i - 1 :: -1])
 
 
 #: A step looks its batch up through its guide table only when ``rows *
@@ -199,26 +199,29 @@ class _GuideTable:
     ``u``: ``starts[b]`` never passes the key's answer. ``starts`` has
     ``size + 1`` entries because ``u`` can be exactly 1.0 (a 64-bit word
     within 2**10 of 2**64 rounds up); ``padded`` ends in ``+inf``, which no
-    key reaches, so a key at the last slot stays there.
+    key reaches, so a key at the last slot stays there. The table keeps
+    all of ``cum`` it needs: ``total`` is ``cum[-1]`` and ``padded`` starts
+    with ``cum[:-1]``.
     """
 
-    __slots__ = ("size", "starts", "padded")
+    __slots__ = ("size", "starts", "padded", "total")
 
     def __init__(self, cum: np.ndarray) -> None:
         self.size = _guide_size(len(cum))
-        edges = np.arange(self.size + 1) / self.size * cum[-1]
+        self.total = cum[-1]
+        edges = np.arange(self.size + 1) / self.size * self.total
         self.starts = np.searchsorted(cum[:-1], edges, side="right")
         self.padded = np.append(cum[:-1], np.inf)
 
-    def lookup(self, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-        x = u * cum[-1]
+    def lookup(self, u: np.ndarray) -> np.ndarray:
+        x = u * self.total
         found = self.starts[(u * self.size).astype(np.intp)]
         padded = self.padded
         found += padded[found] <= x
         # still short of the answer after one step forward: binary-search
         short = np.flatnonzero(padded[found] <= x)
         if short.size:
-            found[short] = np.searchsorted(cum[:-1], x[short], side="right")
+            found[short] = np.searchsorted(padded[:-1], x[short], side="right")
         return found
 
 
@@ -228,12 +231,16 @@ def _guide_size(length: int) -> int:
 
 
 def _insertion_points(
-    cum: np.ndarray, u: np.ndarray, guide: _GuideTable | None
+    powers: np.ndarray, i: int, u: np.ndarray, guide: _GuideTable | None
 ) -> np.ndarray:
-    """Each uniform's insertion slot for one step, through ``guide`` if any."""
-    if guide is not None and _guide_pays(len(u), guide.size):
-        return guide.lookup(cum, u)
-    return np.searchsorted(cum[:-1], u * cum[-1], side="right")
+    """Each uniform's insertion slot at step ``i``, through ``guide`` if
+    any; a step without one sums its weights afresh."""
+    if guide is None:
+        cum = _insertion_cumsum(powers, i)
+        return np.searchsorted(cum[:-1], u * cum[-1], side="right")
+    if _guide_pays(len(u), guide.size):
+        return guide.lookup(u)
+    return np.searchsorted(guide.padded[:-1], u * guide.total, side="right")
 
 
 def iter_ranking_batches(
@@ -254,9 +261,10 @@ def iter_ranking_batches(
     array (1 to 4 bytes a cell), scratch buffers of about ``_STREAM_CHUNK``
     elements each (one step's ``count`` elements when a batch is larger
     than that), and the guide tables, kept under half the bytes of the
-    rows (100 kB at n = 100 and 8 192 rows). The generator drops each batch
-    once yielded, so a consumer that also drops it (as ``borda_streamed``
-    does) never holds two batches at once.
+    rows (100 kB at n = 100 and 8 192 rows); a step without a table sums
+    its at most n weights again for each batch. The generator drops each
+    batch once yielded, so a consumer that also drops it (as
+    ``borda_streamed`` does) never holds two batches at once.
 
     Each step finds its batch's insertion points through a guide table
     (``_GuideTable``, built at most once per call) when the batch is large
@@ -272,7 +280,7 @@ def iter_ranking_batches(
         raise ValueError(f"batch_size must be positive, got {batch_size}")
     modal = np.asarray(modal_indices, dtype=np.int64)
     n = len(modal)
-    cums = _insertion_cumsums(n, theta)
+    powers = float(np.exp(-theta)) ** np.arange(n, dtype=np.float64)
     pos_dtype = next(
         dt for dt in (np.int8, np.int16, np.int32) if n <= np.iinfo(dt).max
     )
@@ -280,20 +288,23 @@ def iter_ranking_batches(
     chunk = max(1, _STREAM_CHUNK // max(n, 1))
     # the first batch is the largest, so it decides which steps need a table
     rows_per_batch = min(batch_size, num_rankings)
+    # a step's weights are kept only inside its table: n(n - 1)/2 floats in
+    # all would outgrow a batch's rows at large n
     guides = [
-        _GuideTable(cum)
-        if _guide_pays(rows_per_batch, _guide_size(len(cum)))
+        _GuideTable(_insertion_cumsum(powers, i))
+        if _guide_pays(rows_per_batch, _guide_size(i))
         else None
-        for cum in cums
+        for i in range(2, n + 1)
     ]
     for start in range(0, num_rankings, batch_size):
         count = min(batch_size, num_rankings - start)
         uniforms = chain.from_iterable(_uniform_matrix(seed, start, count, n - 1))
         # pos[i, r]: where row r currently holds the i-th modal candidate
         pos = np.zeros((n, count), dtype=pos_dtype)
-        for step, (cum, guide) in enumerate(zip(cums, guides)):
+        for step, guide in enumerate(guides):
             # no view of a uniform block outlives the call, so ``del`` frees them
-            point = _insertion_points(cum, next(uniforms), guide).astype(pos_dtype)
+            point = _insertion_points(powers, step + 2, next(uniforms), guide)
+            point = point.astype(pos_dtype)
             earlier = pos[: step + 1]
             # candidates at or after the insertion point move down one; the
             # int8 view keeps the add on numpy's integer loop, not a bool cast

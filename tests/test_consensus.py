@@ -6,6 +6,7 @@ import gc
 import hashlib
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
@@ -487,6 +488,26 @@ class TestPrefixSearch:
             pm, spec, index
         )
 
+    def test_past_deadline_stops_at_node_512(self):
+        # the clock is read at every 512th node, a skipped dead-state node
+        # too: a deadline already past stops the search where max_nodes=511
+        # does, on a fresh table and on one a capped search has filled, and
+        # both skip nodes before that
+        table = helpers.grid_table(24, 3, 2)
+        spec = FairnessSpec(delta_default=Fraction(1, 10))
+        constraints = enabled_entities(spec, spec.build_index(table))
+        wm = _blocked_matrix(table, 0.5, 23).cost_lists()
+        capped = prefix_branch_and_bound(wm, constraints=constraints, max_nodes=511)
+        assert capped[2:] == (False, 512)
+        warm = consensus._CountStates(constraints, table.n)
+        prefix_branch_and_bound(wm, constraints=warm, max_nodes=4_000)
+        for states in (constraints, warm):
+            result, entered = _entered(
+                lambda: prefix_branch_and_bound(wm, constraints=states, deadline=0.0)
+            )
+            assert result == capped
+            assert entered < 511
+
     @pytest.mark.parametrize(
         "wm",
         [
@@ -778,6 +799,31 @@ def _sha(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
+def _entered(search):
+    """``search()``'s result and how many nodes it entered: the calls of the
+    branch-and-bound's inner ``rec``, which leave out the nodes counted at a
+    dead count state and skipped."""
+    (rec,) = (
+        code
+        for code in prefix_branch_and_bound.__code__.co_consts
+        if getattr(code, "co_name", None) == "rec"
+    )
+    entered = 0
+
+    def profile(frame, event, arg):
+        nonlocal entered
+        if event == "call" and frame.f_code is rec:
+            entered += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = search()
+    finally:
+        sys.setprofile(previous)
+    return result, entered
+
+
 class TestSearchWalkPinned:
     """The search walk itself, not just its objective: the order, objective,
     completion flag and node count of capped searches are pinned by sha256.
@@ -802,6 +848,23 @@ class TestSearchWalkPinned:
         ]
         assert sum(o[1][3] for o in outcomes) == DESK_NODES
         assert _sha(outcomes) == DESK_DIGEST
+        # the dead-state marks change no walk: at 2 000 nodes a node skipped
+        # uncounted, or a state marked with a live signature, moves the
+        # incumbent the cap stops on away from that of a search without marks
+        constraints = enabled_entities(spec, index)
+        wms = [
+            _blocked_matrix(table, theta, seed).cost_lists()
+            for theta, seed in ((0.5, 23), (1.0, 24))
+        ]
+        marked = [
+            prefix_branch_and_bound(wm, constraints=constraints, max_nodes=2_000)
+            for wm in wms
+        ]
+        monkeypatch.setattr(consensus._CountStates, "mark_dead", lambda self, state: None)
+        assert [
+            prefix_branch_and_bound(wm, constraints=constraints, max_nodes=2_000)
+            for wm in wms
+        ] == marked
 
     def test_unequal_group_sizes(self):
         # differing mixed-pair counts: the cut compares shares by
@@ -977,6 +1040,27 @@ class TestSharedCountStates:
                 assert _solved(pm, spec, index, 1_500) == fresh[i]
             assert len(index._count_states) == 3
 
+    @pytest.mark.parametrize("state_cap", [None, 0, 64])
+    def test_desk_shape_on_one_index_matches_fresh(self, monkeypatch, state_cap):
+        # the desk shape reaches dead states: each solve reads the marks the
+        # solves before it left on the index's table
+        if state_cap is not None:
+            monkeypatch.setattr(consensus, "_COUNT_STATE_CAP", state_cap)
+        table = helpers.grid_table(24, 3, 2)
+        spec = FairnessSpec(delta_default=Fraction(1, 10))
+        pms = [
+            _blocked_matrix(table, theta, seed)
+            for theta, seed in ((0.5, 23), (1.0, 24), (0.1, 25))
+        ]
+        fresh = [_solved(pm, spec, spec.build_index(table), 4_000) for pm in pms]
+        for order in ((0, 1, 2), (2, 1, 0)):
+            index = spec.build_index(table)
+            for i in order:
+                assert _solved(pms[i], spec, index, 4_000) == fresh[i]
+        if state_cap is None:
+            (states,) = index._count_states.values()
+            assert any(s and s.dead for s in states.states.values())
+
     def test_table_freed_with_its_index(self):
         # the table outlives the search while its index lives, then goes
         # with it; the collector is off, so nothing waits for a cycle sweep
@@ -998,3 +1082,65 @@ class TestSharedCountStates:
         assert solution.nodes_explored > 5_000
         assert kept > 1_000_000
         assert held < 100_000
+
+
+class TestDeadCountStates:
+    """A count state is marked dead once its filled ``next`` slots show the
+    cut firing for every signature whose groups all have members left; a
+    node that reaches it is counted and never entered."""
+
+    @pytest.mark.parametrize(
+        "table, spec, instances, cap",
+        [
+            (
+                helpers.grid_table(24, 3, 2),
+                FairnessSpec(delta_default=Fraction(1, 10)),
+                ((0.5, 23), (1.0, 24), (0.1, 25)),
+                4_000,
+            ),
+            (
+                helpers.sized_table({"x": [6, 4, 2], "y": [7, 5]}, random.Random(5)),
+                FairnessSpec(delta_default=Fraction(1, 5)),
+                ((0.3, 1), (0.8, 2)),
+                3_000,
+            ),
+            (
+                helpers.sized_table({"x": [6, 4, 2], "y": [7, 5]}, random.Random(5)),
+                FairnessSpec(delta_default=Fraction(1, 5), intersection_attrs=None),
+                ((0.3, 1), (0.8, 2)),
+                3_000,
+            ),
+        ],
+        ids=["desk", "unequal", "attributes-only"],
+    )
+    def test_marks_hold_on_a_fresh_table(self, table, spec, instances, cap):
+        # the fresh table computes every cut afresh: the marks rest on
+        # nothing but the counts
+        index = spec.build_index(table)
+        for theta, seed in instances:
+            _solved(_blocked_matrix(table, theta, seed), spec, index, cap)
+        constraints = enabled_entities(spec, index)
+        states = consensus._CountStates.of_index(index, constraints)
+        dead = [s for s in states.states.values() if s and s.dead]
+        assert dead
+        fresh = consensus._CountStates(constraints, table.n)
+        groups = len(constraints[0][0].groups)
+        for state in dead:
+            left = state.counts[fresh.width :]
+            probe = consensus._CountState(state.counts, len(fresh.sig_slots))
+            for s, at in enumerate(fresh.sig_slots):
+                if all(left[i] for i in at):
+                    assert fresh.successor(probe, s, sum(left[:groups])) is False
+
+    def test_walk_matches_unmarked_search(self, monkeypatch):
+        # a skipped node counts as an entered one would, so a search that
+        # runs to its end reports the nodes it reports with no marks at all
+        table = helpers.sized_table({"x": [6, 4, 2], "y": [7, 5]}, random.Random(5))
+        spec = FairnessSpec(delta_default=Fraction(1, 5))
+        pm = _blocked_matrix(table, 1.5, 3)
+        marked, entered = _entered(
+            lambda: _solved(pm, spec, spec.build_index(table), None)
+        )
+        assert marked[2] and entered < marked[3]
+        monkeypatch.setattr(consensus._CountStates, "mark_dead", lambda self, state: None)
+        assert _solved(pm, spec, spec.build_index(table), None) == marked

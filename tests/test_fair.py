@@ -32,7 +32,11 @@ from fairconsensus import (
     ranking_objective,
     repair_ranking,
 )
-from fairconsensus.errors import RepairStalled
+from fairconsensus.errors import (
+    InconsistentCandidateSet,
+    InstanceTooLarge,
+    RepairStalled,
+)
 from fairconsensus.fair import _order_satisfies, enabled_entities
 from fairconsensus.metrics import entity_spread
 from fairconsensus.model import ALL
@@ -55,6 +59,54 @@ def odd_parity_instance():
         (Ranking(("a", "b", "c", "d")), Ranking(("d", "c", "b", "a")))
     )
     return table, rankings
+
+
+def _abc_inputs(t):
+    """A one-ranking set over table ``t``, a spec and its index on ``t``."""
+    spec = FairnessSpec(delta_default=Fraction(1, 2))
+    return RankingSet((Ranking(t.candidate_ids),)), spec, spec.build_index(t)
+
+
+def _one_ranking_matrix(table):
+    return build_precedence_matrix(RankingSet((Ranking(table.candidate_ids),)), table)
+
+
+# every argument check in the fair module that no other test reaches, as
+# (call on the abc table, error, message)
+_FAIR_ERRORS = [
+    (
+        lambda t: fair_kemeny(
+            _one_ranking_matrix(t), *_abc_inputs(t)[1:], max_exact_n=2
+        ),
+        InstanceTooLarge,
+        "exact solve limited to 2 candidates, got 3",
+    ),
+    (
+        lambda t: fair_kemeny(
+            _one_ranking_matrix(CandidateTable(("a", "b", "d"), t.attributes, t.values)),
+            *_abc_inputs(t)[1:],
+        ),
+        InconsistentCandidateSet,
+        "precedence matrix and group index cover different candidates",
+    ),
+    (
+        lambda t: fair_pipeline("median", *_abc_inputs(t)),
+        ValueError,
+        "unknown pipeline method 'median'",
+    ),
+    (
+        lambda t: brute_force_fair_kemeny(*_abc_inputs(t), max_n=2),
+        InstanceTooLarge,
+        "enumeration oracle limited to 2 candidates, got 3",
+    ),
+]
+
+
+@pytest.mark.parametrize(("call", "error", "message"), _FAIR_ERRORS)
+def test_argument_checks_name_the_fault(abc_table, call, error, message):
+    with pytest.raises(error) as raised:
+        call(abc_table)
+    assert str(raised.value) == message
 
 
 class TestRepair:

@@ -33,10 +33,37 @@ from fairconsensus import (
     sample_mallows,
     scenario_targets,
 )
-from fairconsensus.mallows import _GuideTable, _insertion_cumsums, _uniform_matrix
+from fairconsensus.mallows import _GuideTable, _insertion_cumsum, _uniform_matrix
 from fairconsensus.model import ALL
 
 import helpers
+
+
+# every argument check in the mallows module that no other test reaches,
+# as (call on the abc table, error, message)
+_MALLOWS_ERRORS = [
+    (
+        lambda t: mixed_block_modal(build_group_index(t, intersection_attrs=None), 0.5),
+        DegenerateIntersection,
+        "a mixed block modal needs intersection cells",
+    ),
+    (
+        lambda t: build_scenario(
+            build_group_index(t, intersection_attrs=None),
+            ScenarioTargets({}, (Fraction(1, 2), Fraction(1, 10))),
+            0,
+        ),
+        DegenerateIntersection,
+        "an intersection window needs an index built with one",
+    ),
+]
+
+
+@pytest.mark.parametrize(("call", "error", "message"), _MALLOWS_ERRORS)
+def test_argument_checks_name_the_fault(abc_table, call, error, message):
+    with pytest.raises(error) as raised:
+        call(abc_table)
+    assert str(raised.value) == message
 
 
 class TestSplitMix64:
@@ -258,8 +285,8 @@ class TestGuideTable:
     def test_matches_binary_search(self, n, theta, data):
         # large theta underflows the small weights to 0: leading zeros and
         # ties in cum, on which "right" and "left" searches differ
-        cums = _insertion_cumsums(n, theta)
-        cum = cums[data.draw(st.integers(0, len(cums) - 1))]
+        powers = float(np.exp(-theta)) ** np.arange(n, dtype=np.float64)
+        cum = _insertion_cumsum(powers, data.draw(st.integers(2, n)))
         guide = _GuideTable(cum)
         size = guide.size
         assert size >= len(cum) and size & (size - 1) == 0
@@ -277,7 +304,7 @@ class TestGuideTable:
                 )[0],
             ]
         )
-        assert np.array_equal(guide.lookup(cum, u), _clamped_search(cum, u))
+        assert np.array_equal(guide.lookup(u), _clamped_search(cum, u))
 
 
 class TestMixedBlockModal:

@@ -38,6 +38,34 @@ from fairconsensus.model import ALL
 import helpers
 
 
+# every argument check in the metrics module that no other test reaches, as
+# (call on the abc table, error, message)
+_METRICS_ERRORS = [
+    (
+        lambda t: fpr(Ranking(t.candidate_ids), (), build_group_index(t)),
+        DegenerateGroup,
+        "group of size 0 out of 3 has no mixed pairs",
+    ),
+    (
+        lambda t: FairnessSpec(delta_default="1.5"),
+        ValueError,
+        "threshold '1.5' outside [0, 1]",
+    ),
+    (
+        lambda t: kendall_tau(Ranking(("a", "b")), Ranking(("a", "c"))),
+        InconsistentCandidateSet,
+        "kendall_tau needs two permutations of the same candidate set",
+    ),
+]
+
+
+@pytest.mark.parametrize(("call", "error", "message"), _METRICS_ERRORS)
+def test_argument_checks_name_the_fault(abc_table, call, error, message):
+    with pytest.raises(error) as raised:
+        call(abc_table)
+    assert str(raised.value) == message
+
+
 class TestFavoredPairShare:
     def test_hand_example(self):
         # group {a, b} vs outsiders {x, y} in ranking a, x, b, y:
