@@ -262,10 +262,11 @@ def parse_theta(value, what: str = "theta") -> float:
 
 
 def intersection_scope(value, table: CandidateTable) -> tuple[str, ...] | str | None:
-    """``ALL``, ``None`` or the named attributes forming the intersection.
+    """``ALL``, ``None`` or the named attributes forming the intersection,
+    in declared order, the order of an intersection cell's values.
 
     ``value`` is ``"all"``, ``"none"``/``None``, a list of attribute names
-    or those names as one comma-separated string.
+    or those names as one comma-separated string, each named once.
     """
     if value == "all":
         return ALL
@@ -282,7 +283,9 @@ def intersection_scope(value, table: CandidateTable) -> tuple[str, ...] | str | 
         )
     for name in names:
         table.attribute_index(name)
-    return names
+    if len(set(names)) < len(names):
+        raise ParseError(f"intersection names an attribute twice, got {value!r}")
+    return tuple(name for name in table.attributes if name in names)
 
 
 def solver_budget_ms(value: int | None, what: str) -> int | None:

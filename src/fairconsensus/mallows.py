@@ -423,12 +423,12 @@ def build_scenario(
     windows one pairwise swap at a time: repair-style swaps shrink a spread
     that sits above its window, mirrored swaps widen one that sits below.
     A ``GroupCountTracker`` finds and makes both and keeps every spread
-    current, so each costs O(log n), plus a list memmove when the swap
-    passes a member of a moved group. Each restart reshuffles the starting
-    block order with a seeded stream and makes at most ``80 * n + 400``
-    swaps; if no restart lands in every window the scenario is
-    unreachable. An intersection window needs at least two intersection
-    cells to compare.
+    current: finding a swap takes two or three byte searches over the
+    per-position group labels, and making it two label stores per entity.
+    Each restart reshuffles the starting block order with a seeded stream
+    and makes at most ``80 * n + 400`` swaps; if no restart lands in every
+    window the scenario is unreachable. An intersection window needs at
+    least two intersection cells to compare.
     """
     table = index.table
     n = table.n

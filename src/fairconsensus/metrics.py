@@ -10,7 +10,7 @@ spec when every enabled spread stays within its threshold.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
@@ -108,21 +108,52 @@ def entity_spread(order: Sequence[int], entity: Entity) -> tuple[int, int, int, 
     return spread_of(favored, [g.mixed_pairs for g in entity.groups])
 
 
-class GroupCountTracker:
-    """Favored counts, spreads and sorted member positions of some entities,
-    kept current while ``order`` (candidate indices, top-down) changes by
-    swaps: ``spreads[e]`` is ``spread_of(favored[e], omegas[e])``, entity
-    ``e``'s spread, and ``positions[e][g]`` lists group ``g``'s member
-    positions, ascending."""
+def find_label(labels: bytearray, pattern: bytes, start: int) -> int:
+    """First position at or after ``start`` whose label is ``pattern``, else -1.
 
-    __slots__ = ("order", "favored", "omegas", "positions", "spreads", "_rows")
+    Each label takes ``len(pattern)`` bytes. A byte match that begins inside
+    a label is not one, so the search goes on from the next label.
+    """
+    width = len(pattern)
+    i = labels.find(pattern, start * width)
+    while i % width and i > 0:
+        i = labels.find(pattern, i - i % width + width)
+    return i // width
+
+
+def rfind_label(labels: bytearray, pattern: bytes, end: int) -> int:
+    """Last position before ``end`` whose label is ``pattern``, else -1;
+    labels as in ``find_label``."""
+    width = len(pattern)
+    i = labels.rfind(pattern, 0, end * width)
+    while i % width and i > 0:
+        i = labels.rfind(pattern, 0, i - i % width + width)
+    return i // width
+
+
+class GroupCountTracker:
+    """Favored counts, spreads and group labels of some entities, kept
+    current while ``order`` (candidate indices, top-down) changes by swaps:
+    ``spreads[e]`` is ``spread_of(favored[e], omegas[e])``, entity ``e``'s
+    spread, and ``labels[e]`` holds at position ``p`` the group of
+    ``order[p]``, in 1, 2 or 4 bytes, the fewest that hold its group count;
+    ``patterns[e][g]`` is group ``g``'s label, for ``find_label``."""
+
+    __slots__ = ("order", "favored", "omegas", "labels", "patterns", "spreads", "_rows")
 
     def __init__(self, order: list[int], entities: Sequence[Entity]) -> None:
         self.order = order
         self.favored = [favored_pair_counts(order, e.gid, len(e.groups)) for e in entities]
         self.omegas = [[g.mixed_pairs for g in e.groups] for e in entities]
-        self.positions = [[[] for _ in e.groups] for e in entities]
         self.spreads = list(map(spread_of, self.favored, self.omegas))
+        self.labels, self.patterns, views = [], [], []
+        for e in entities:
+            k = len(e.groups)
+            fmt, width = ("B", 1) if k <= 1 << 8 else ("H", 2) if k <= 1 << 16 else ("I", 4)
+            patterns = [g.to_bytes(width, sys.byteorder) for g in range(k)]
+            self.patterns.append(patterns)
+            self.labels.append(bytearray(b"".join([patterns[e.gid[c]] for c in order])))
+            views.append(memoryview(self.labels[-1]).cast(fmt))
         # one row per entity, so that a swap unpacks instead of indexing;
         # ``form`` names the closed form of its spread: 1 when all groups
         # share one mixed-pair count (every equal-cell grid), 2 when there
@@ -132,12 +163,7 @@ class GroupCountTracker:
             (2 if len(w) == 2 else 1) if len(set(w)) == 1 else 0 for w in self.omegas
         ]
         gids = [e.gid for e in entities]
-        self._rows = list(
-            zip(count(), gids, self.favored, self.omegas, self.positions, forms)
-        )
-        for _, gid, _, _, positions, _ in self._rows:
-            for p, c in enumerate(order):
-                positions[gid[c]].append(p)
+        self._rows = list(zip(count(), gids, self.favored, self.omegas, views, forms))
 
     def swap(self, p: int, s: int) -> None:
         """Swap the candidates at positions ``p < s``, updating the entities
@@ -147,12 +173,10 @@ class GroupCountTracker:
         between them and the promoted one, handing one favored mixed pair
         each to the promoted candidate's group; each between-candidate's own
         group gains one pair from the demotion and loses one from the
-        promotion, netting zero. Each of the two groups moves one position:
-        in place (a bisect and a store) when no member of its group lies
-        between ``p`` and ``s``, else by a delete and an insort, an O(n)
-        memmove in C. The spread is recomputed from the new counts. When
-        all groups share one mixed-pair count the shares order as the
-        counts: two groups take one compare of the counts, more take
+        promotion, netting zero. The two labels trade places: two stores,
+        whatever lies between. The spread is recomputed from the new
+        counts. When all groups share one mixed-pair count the shares order
+        as the counts: two groups take one compare of the counts, more take
         ``max``/``min`` and ``index`` for the first group holding each;
         other entities call ``spread_of``. Each returns exactly what
         ``spread_of`` does. The two-group compare is there for speed:
@@ -163,26 +187,14 @@ class GroupCountTracker:
         spreads = self.spreads
         demoted, promoted = order[p], order[s]
         span = s - p
-        for e, gid, favored, omegas, positions, form in self._rows:
+        for e, gid, favored, omegas, labels, form in self._rows:
             gu, gv = gid[demoted], gid[promoted]
             if gu == gv:
                 continue
             favored[gu] -= span
             favored[gv] += span
-            members = positions[gu]
-            i = bisect_left(members, p)
-            if i + 1 < len(members) and members[i + 1] < s:
-                del members[i]
-                insort(members, s)
-            else:
-                members[i] = s
-            members = positions[gv]
-            i = bisect_left(members, s)
-            if i and members[i - 1] > p:
-                del members[i]
-                insort(members, p)
-            else:
-                members[i] = p
+            labels[p] = gv
+            labels[s] = gu
             if form == 2:
                 w = omegas[0]
                 d = favored[1] - favored[0]
@@ -205,16 +217,17 @@ class GroupCountTracker:
     def narrowing(self, e: int, hi: int, lo: int) -> tuple[int, int] | None:
         """Swap positions moving entity ``e``'s group ``hi`` down past ``lo``: the
         lowest ``hi`` member with a ``lo`` member beneath it and the nearest one."""
-        highs, lows = self.positions[e][hi], self.positions[e][lo]
-        c = bisect_left(highs, lows[-1]) - 1
-        return None if c < 0 else (highs[c], lows[bisect_right(lows, highs[c])])
+        labels, high, low = self.labels[e], self.patterns[e][hi], self.patterns[e][lo]
+        p = rfind_label(labels, high, rfind_label(labels, low, len(self.order)))
+        return None if p < 0 else (p, find_label(labels, low, p + 1))
 
     def widening(self, e: int, hi: int, lo: int) -> tuple[int, int] | None:
         """Swap positions moving entity ``e``'s group ``lo`` down past ``hi``:
         the top ``lo`` member and the nearest ``hi`` member beneath it."""
-        highs, top = self.positions[e][hi], self.positions[e][lo][0]
-        c = bisect_right(highs, top)
-        return None if c == len(highs) else (top, highs[c])
+        labels = self.labels[e]
+        top = find_label(labels, self.patterns[e][lo], 0)
+        s = find_label(labels, self.patterns[e][hi], top + 1)
+        return None if s < 0 else (top, s)
 
 
 def arp(ranking: Ranking, attribute: str, index: GroupIndex) -> Score:

@@ -853,6 +853,77 @@ class TestInputBoundary:
         assert err == f"error: {name}: {message}\n"
         assert not Path("out").exists()
 
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            pytest.param(
+                [*AGGREGATE, "--delta", "1.5"], None,
+                "--delta must lie in [0, 1], got '1.5'", id="delta-range",
+            ),
+            pytest.param(
+                [*AGGREGATE, "--delta-attr", "race"], None,
+                "--delta-attr expects NAME=VALUE, got 'race'", id="delta-attr-malformed",
+            ),
+            pytest.param(
+                [*AGGREGATE, "--intersection", "race,gender,race"], None,
+                "intersection names an attribute twice, got 'race,gender,race'",
+                id="intersection-repeat",
+            ),
+            pytest.param(
+                EXPERIMENT, {"intersection": ["race", "race"]},
+                "intersection names an attribute twice, got ['race', 'race']",
+                id="config-intersection-repeat",
+            ),
+            pytest.param(
+                EXPERIMENT, {"intersection": 5},
+                "intersection must be 'all', 'none', or attribute names as a list "
+                "or a comma-separated string, got 5",
+                id="config-intersection-value",
+            ),
+            pytest.param(
+                EXPERIMENT, [SMALL_EXPERIMENT],
+                "config.json: the config must be a JSON object", id="config-not-object",
+            ),
+            pytest.param(
+                EXPERIMENT, {"deltas": [None]},
+                "delta grid entries must be numbers or strings, got None",
+                id="config-delta-entry",
+            ),
+            pytest.param(
+                EXPERIMENT, {"scenario": 5},
+                "scenario must be a preset name or a target object",
+                id="config-scenario-value",
+            ),
+            pytest.param(
+                EXPERIMENT, {"attributes": "some"},
+                "attributes must be 'all' or 'none', got 'some'", id="config-attributes",
+            ),
+            pytest.param(
+                EXPERIMENT, {"modal": "modal.csv"},
+                "config.json: give either 'modal' or 'scenario'",
+                id="config-modal-and-scenario",
+            ),
+        ],
+    )
+    def test_error_sites_name_the_fault(self, grid_case, capsys, argv, config, message):
+        """Each argument or config fault exits 2 with exactly one ``error:``
+        line, this message, and writes nothing."""
+        if isinstance(config, dict):
+            config = {**SMALL_EXPERIMENT, **config}
+        if config is not None:
+            Path("config.json").write_text(json.dumps(config))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not Path("out").exists()
+
+    def test_intersection_attributes_in_declared_order(self, grid_case):
+        # named gender first, reported in the order of each cell's values
+        assert main([*AGGREGATE, "--intersection", "gender,race"]) == 0
+        report = json.loads(Path("out/report.json").read_text())
+        assert report["delta"]["intersection_attributes"] == ["race", "gender"]
+        cells = report["fairness"]["intersection"]["cells"]
+        assert all(race[0] + gender[0] == "rg" for race, gender in (c["values"] for c in cells))
+
     @pytest.mark.parametrize("seed", ["-1", str(2**70)])
     def test_generate_takes_any_integer_seed(self, grid_case, seed):
         argv = [*GENERATE, "--theta", "0.5", "--num-rankings", "3"]

@@ -384,6 +384,33 @@ class TestRepairWalkPinned:
                 outcomes.append(str(exc))
         assert _sha(outcomes) == SMALL_RANDOM_DIGEST
 
+    def test_groups_past_one_byte(self):
+        # 600 candidates, a 300-value race whose two members share a gender,
+        # so race and the intersection both have 300 groups: more than one
+        # byte holds, with cells large enough that moved members pass others
+        n = 600
+        rows = tuple((f"r{i % 300}", f"g{i % 2}") for i in range(n))
+        table = CandidateTable(tuple(f"c{i:03d}" for i in range(n)), ("race", "gender"), rows)
+        shuffled = list(table.candidate_ids)
+        random.Random(3).shuffle(shuffled)
+        outcomes = []
+        for delta, start in (("1/10", "block"), ("1/4", "shuffled"), ("1/10", "shuffled")):
+            spec = FairnessSpec(delta_default=Fraction(delta))
+            index = spec.build_index(table)
+            assert [len(e.groups) for e in spec.entities(index)] == [300, 2, 300]
+            ranking = mixed_block_modal(index, 1.0) if start == "block" else Ranking(tuple(shuffled))
+            try:
+                outcomes.append(_walk_outcome(ranking, spec, index))
+            except RepairStalled as exc:
+                outcomes.append(str(exc))
+        assert [o if isinstance(o, str) else o[2] for o in outcomes] == [
+            135,
+            108,
+            "fairness repair cycled: every violated entity's swap would revisit"
+            " an earlier order or has no legal pair left",
+        ]
+        assert _sha(outcomes) == WIDE_LABELS_DIGEST
+
 
 WIDE_DIGEST = "3e18f3ac278968e25585cc532a8d575224b932fe0e3ba961d33f669b5ba977a1"
 UNEQUAL_CELLS_DIGEST = "a56cfdb96ddcabbc6d2dc0675a89b850fa7e48c37d4b84289c11c8f0ac457334"
@@ -391,6 +418,7 @@ NO_INTERSECTION_DIGEST = "0db4f6a81e83e6ef032e5c7f19f0e10902f70094dba165111b8e9d
 TIED_DIGEST = "72cd2cf7128ec278a97d98b45f687d596ef3bdd85c1e8afe545c4a6ba91f940a"
 ODD_PARITY_DIGEST = "f3a2f91c035672597a3748b728a3062d255ae1405760494d884151c0b3309588"
 SMALL_RANDOM_DIGEST = "39477806612a5c9e65c764305886267cc449a55228263d66d138463e5e7140fa"
+WIDE_LABELS_DIGEST = "f64c77b23600eb8128ef115ca489e54be5491de597402caf0eef39d8316edd70"
 
 
 class TestFairKemeny:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,8 @@ from fairconsensus.metrics import (
     GroupCountTracker,
     entity_spread,
     favored_pair_counts,
+    find_label,
+    rfind_label,
     spread_of,
 )
 from fairconsensus.model import ALL
@@ -176,6 +179,33 @@ def _widening_reference(highs, lows):
     return (min(lows), min(below)) if below else None
 
 
+def _check_tracker(tracker, entities, group_pairs):
+    """Compare a tracker with fresh scans of its order: counts, spreads,
+    labels against per-position group ids, and the swap pairs it finds for
+    each ``(hi, lo)`` in ``group_pairs(k)`` against the references."""
+    order = tracker.order
+    n = len(order)
+    for e, entity in enumerate(entities):
+        gid, k = entity.gid, len(entity.groups)
+        width = 1 if k <= 256 else 2
+        patterns = tracker.patterns[e]
+        assert [int.from_bytes(p, sys.byteorder) for p in patterns] == list(range(k))
+        assert {len(p) for p in patterns} == {width}
+        labels = tracker.labels[e]
+        assert len(labels) == n * width
+        assert [int.from_bytes(labels[p * width : (p + 1) * width], sys.byteorder) for p in range(n)] == [
+            gid[c] for c in order
+        ]
+        assert tracker.favored[e] == favored_pair_counts(order, gid, k)
+        assert tracker.omegas[e] == [g.mixed_pairs for g in entity.groups]
+        assert tracker.spreads[e] == entity_spread(order, entity)
+        for hi, lo in group_pairs(k):
+            highs = [p for p in range(n) if gid[order[p]] == hi]
+            lows = [p for p in range(n) if gid[order[p]] == lo]
+            assert tracker.narrowing(e, hi, lo) == _narrowing_reference(highs, lows)
+            assert tracker.widening(e, hi, lo) == _widening_reference(highs, lows)
+
+
 class TestGroupCountTracker:
     @given(
         n=st.integers(4, 40),
@@ -203,25 +233,10 @@ class TestGroupCountTracker:
         tracker = GroupCountTracker(order, entities)
         assert tracker.order is order
 
-        def check():
-            for e, entity in enumerate(entities):
-                gid, k = entity.gid, len(entity.groups)
-                members = [[p for p in range(n) if gid[order[p]] == g] for g in range(k)]
-                assert tracker.favored[e] == favored_pair_counts(order, gid, k)
-                assert tracker.omegas[e] == [g.mixed_pairs for g in entity.groups]
-                assert tracker.positions[e] == members
-                assert tracker.spreads[e] == entity_spread(order, entity)
-                for hi in range(k):
-                    for lo in range(k):
-                        highs, lows = members[hi], members[lo]
-                        assert tracker.narrowing(e, hi, lo) == _narrowing_reference(
-                            highs, lows
-                        )
-                        assert tracker.widening(e, hi, lo) == _widening_reference(
-                            highs, lows
-                        )
+        def every_pair(k):
+            return [(hi, lo) for hi in range(k) for lo in range(k)]
 
-        check()
+        _check_tracker(tracker, entities, every_pair)
         for _ in range(data.draw(st.integers(0, 30))):
             p = data.draw(st.integers(0, n - 2))
             s = data.draw(st.integers(p + 1, n - 1))
@@ -229,7 +244,52 @@ class TestGroupCountTracker:
             tracker.swap(p, s)
             before[p], before[s] = before[s], before[p]
             assert order == before
-            check()
+            _check_tracker(tracker, entities, every_pair)
+
+    def test_two_byte_labels_through_random_swaps(self):
+        # 600 candidates: a 300-value attribute and 600 one-member
+        # intersection cells take two bytes a label, the other attribute one
+        n = 600
+        rows = tuple((f"r{i % 300}", f"g{i // 300}") for i in range(n))
+        table = CandidateTable(tuple(f"c{i}" for i in range(n)), ("race", "gender"), rows)
+        index = build_group_index(table, intersection_attrs=ALL)
+        entities = index.attribute_entities + (index.intersection,)
+        assert [len(e.groups) for e in entities] == [300, 2, 600]
+        rng = random.Random(5)
+        order = list(range(n))
+        rng.shuffle(order)
+        tracker = GroupCountTracker(order, entities)
+
+        def some_pairs(k):
+            return [(rng.randrange(k), rng.randrange(k)) for _ in range(4)] + [(0, k - 1)]
+
+        _check_tracker(tracker, entities, some_pairs)
+        for _ in range(25):
+            p = rng.randrange(n - 1)
+            s = rng.randrange(p + 1, n)
+            # an adjacent swap now and then, as most repair swaps are
+            tracker.swap(p, p + 1 if rng.random() < 0.3 else s)
+            _check_tracker(tracker, entities, some_pairs)
+
+
+class TestLabelSearch:
+    def test_four_byte_labels_skip_a_match_across_two_labels(self):
+        # group 1's label bytes spill across positions 0 and 1 before the
+        # real label at position 2, and again across 3 and 4 after it
+        one = (1).to_bytes(4, sys.byteorder)
+        labels = bytearray(b"\x00" + one + b"\x00" * 3 + one + b"\x00" + one + b"\x00" * 3)
+        assert len(labels) == 5 * 4
+        assert labels.find(one) == 1 and labels.rfind(one) == 13
+        assert find_label(labels, one, 0) == 2
+        assert rfind_label(labels, one, 5) == 2
+        assert find_label(labels, one, 3) == -1
+        assert rfind_label(labels, one, 2) == -1
+
+    def test_one_byte_labels(self):
+        labels = bytearray([0, 2, 1, 2, 0])
+        two = bytes([2])
+        assert [find_label(labels, two, p) for p in range(6)] == [1, 1, 3, 3, -1, -1]
+        assert [rfind_label(labels, two, p) for p in range(6)] == [-1, -1, 1, 1, 3, 3]
 
 
 class TestKendallTau:
