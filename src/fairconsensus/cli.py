@@ -9,9 +9,11 @@ be a permutation of the candidate table.
 
 Reports carry every rational both exactly (numerator/denominator) and as a
 6-digit decimal. Each command builds all of its files in memory; ``main``
-then adds the ``timing.json`` wall-clock sidecar and writes them atomically
-(temp file plus rename), so a failing command leaves no partial outputs and
-the data files are byte-identical across reruns with the same inputs and
+then adds the ``timing.json`` wall-clock sidecar and writes each file
+atomically (temp file plus rename), so a command that fails before writing
+leaves no outputs and no file is ever half written. The set is not atomic:
+a write that fails part way leaves the files renamed into place before it.
+The data files are byte-identical across reruns with the same inputs and
 seeds.
 
 Experiment config
@@ -51,10 +53,11 @@ solve in the first cell that needs it).
 Exit codes: 0 success; 2 unusable input (parse or validation failure, a
 file that is not UTF-8, unknown, missing or malformed flags and flag
 values, an empty ``--out``, malformed ``FAIRCONSENSUS_BUDGET_MS``,
-oversized exact instances, a sample of more than ``MAX_SAMPLED_POSITIONS``
-= 10**8 ranking positions: ``num_rankings`` times the candidate count, and
-in an experiment times ``len(thetas) * trials``, refused before anything
-is sampled); 3 no ranking can satisfy the thresholds; 4 swap repair
+oversized exact instances, refused before any precedence matrix is built
+and in an experiment before anything is sampled, a sample of more than
+``MAX_SAMPLED_POSITIONS`` = 10**8 ranking positions: ``num_rankings`` times
+the candidate count, and in an experiment times ``len(thetas) * trials``,
+refused before anything is sampled); 3 no ranking can satisfy the thresholds; 4 swap repair
 stalled; 5 time budget exhausted with no result; 6 scenario targets
 unreachable. Every failing run prints one ``error:`` line on stderr.
 """
@@ -82,6 +85,7 @@ from typing import Iterable, Mapping, NoReturn, Sequence
 from .consensus import (
     DEFAULT_MAX_EXACT_N,
     KemenySolution,
+    _check_exact_size,
     borda,
     copeland,
     kemeny_exact,
@@ -157,6 +161,9 @@ _PRICED_AGAINST = {
     "fair-kemeny": "kemeny",
     "kemeny-weighted": "kemeny",
 }
+
+#: The methods that solve an exact Kemeny instance, bounded by ``max_exact_n``.
+_EXACT_METHODS = frozenset(("kemeny", "fair-kemeny", "kemeny-weighted"))
 
 #: Most ranking positions one command may sample; a larger count is refused
 #: before anything is sampled, since every sampled ranking is kept.
@@ -412,7 +419,10 @@ def rankings_csv_text(rankings: Sequence[Ranking]) -> str:
 
 
 def publish(out_dir: str | Path, files: Mapping[str, str]) -> None:
-    """Write finished files, each atomically (temp file plus rename)."""
+    """Write finished files, each atomically (temp file plus rename), with
+    the mode a plain ``open`` gives: ``0o666`` less the umask."""
+    umask = os.umask(0)
+    os.umask(umask)
     for name, content in files.items():
         path = Path(out_dir) / name
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -420,6 +430,7 @@ def publish(out_dir: str | Path, files: Mapping[str, str]) -> None:
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
                 handle.write(content)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -616,10 +627,8 @@ class _Instance:
             ranking = copeland(self.matrix)
         elif method == "schulze":
             ranking = schulze(self.matrix)
-        elif method == "pick-fairest":
+        else:  # pick-fairest, the last unaware method in METHODS
             ranking = pick_fairest(rankings, self.scope, index)
-        else:
-            raise ParseError(f"unknown method {method!r}")
         return _Solved(ranking, pd_loss(rankings, ranking))
 
 
@@ -681,6 +690,8 @@ def cmd_aggregate(args: argparse.Namespace) -> _Outputs:
         max_exact_n=args.max_exact_n,
         max_nodes=node_cap(args.max_nodes, "--max-nodes"),
     )
+    if args.method in _EXACT_METHODS:
+        _check_exact_size(table.n, instance.max_exact_n)
     solved = _solve(args.method, instance, spec, want_pof=not args.no_pof)
     consensus = solved.ranking
     report = evaluate_fairness(consensus, spec, instance.index)
@@ -943,6 +954,8 @@ def cmd_experiment(args: argparse.Namespace) -> _Outputs:
     max_exact_n = parse_int(
         config.get("max_exact_n", DEFAULT_MAX_EXACT_N), "max_exact_n"
     )
+    if _EXACT_METHODS.intersection(methods):
+        _check_exact_size(table.n, max_exact_n)
     max_nodes = node_cap(config.get("max_nodes"), "max_nodes")
     scope = intersection_scope(config.get("intersection", "all"), table)
     attributes = config.get("attributes", "all")

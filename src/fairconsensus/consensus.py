@@ -339,6 +339,16 @@ def _check_count(value: int | None, what: str) -> None:
         raise ValueError(f"{what} must be a non-negative int, got {value!r}")
 
 
+def _check_exact_size(n: int, max_exact_n: int) -> None:
+    """``InstanceTooLarge`` past ``max_exact_n`` candidates: the exact
+    solvers' one size gate, which the CLI also applies before building any
+    matrix."""
+    if n > max_exact_n:
+        raise InstanceTooLarge(
+            f"exact solve limited to {max_exact_n} candidates, got {n}"
+        )
+
+
 def _check_weights(wm: Sequence[Sequence[int]]) -> list[list[int]]:
     """``wm`` as rows of Python ints; ``ValueError`` unless it is square,
     every entry is a non-negative integer (numpy ints convert, ``bool`` and
@@ -658,11 +668,7 @@ def kemeny_exact(
     always available; when the time budget expires first, the best
     incumbent is returned with ``optimal=False``.
     """
-    n = precedence.n
-    if n > max_exact_n:
-        raise InstanceTooLarge(
-            f"exact solve limited to {max_exact_n} candidates, got {n}"
-        )
+    _check_exact_size(precedence.n, max_exact_n)
     wm = precedence.cost_lists()
     deadline = _deadline(resolve_budget_ms(time_budget_ms))
     seed_order = _borda_order(precedence.matrix)
@@ -843,6 +849,7 @@ def kemeny_weighted(
     ahead of it, those copies weigh ``M - t``, ``M - t - 1``, ..., ``M - t
     - w + 1``, together ``w * (M - t) - w * (w - 1) / 2``.
     """
+    _check_exact_size(index.table.n, max_exact_n)
     weights = [0] * rankings.size
     left = rankings.total_weight
     for i in _fairest_first(rankings, spec, index):

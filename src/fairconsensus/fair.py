@@ -14,6 +14,7 @@ solver is tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -25,6 +26,7 @@ from .consensus import (
     _CountStates,
     _borda_order,
     _check_count,
+    _check_exact_size,
     _deadline,
     borda,
     copeland,
@@ -309,11 +311,7 @@ def fair_kemeny(
     with the index.
     """
     _check_count(max_nodes, "max_nodes")
-    n = precedence.n
-    if n > max_exact_n:
-        raise InstanceTooLarge(
-            f"exact solve limited to {max_exact_n} candidates, got {n}"
-        )
+    _check_exact_size(precedence.n, max_exact_n)
     if tuple(precedence.ids) != index.table.candidate_ids:
         raise InconsistentCandidateSet(
             "precedence matrix and group index cover different candidates"
@@ -420,9 +418,13 @@ def brute_force_fair_kemeny(
 ) -> KemenySolution:
     """Enumeration oracle: scan all permutations, keep the feasible minimum.
 
-    Independent of the branch-and-bound by construction. The feasibility
-    filter is the same exact integer comparison the metrics module makes,
-    inlined over group membership arrays so full factorial scans stay fast.
+    Each permutation is checked by the package's exact integer kernels:
+    ``_order_satisfies`` (``entity_spread`` against each enabled threshold)
+    for feasibility and ``ranking_objective`` for the disagreement. Once a
+    feasible order is known, a permutation is checked for fairness only when
+    it is strictly cheaper; the first strictly cheaper feasible permutation
+    wins either way. The oracle reads no count state, cut or bound, so it
+    stays independent of the branch-and-bound it is tested against.
     """
     table = index.table
     n = table.n
@@ -431,60 +433,19 @@ def brute_force_fair_kemeny(
             f"enumeration oracle limited to {max_n} candidates, got {n}"
         )
     wm = build_precedence_matrix(rankings, table).cost_lists()
-    ents = []
-    for entity, delta in enabled_entities(spec, index):
-        ents.append(
-            (
-                entity.gid,
-                [g.mixed_pairs for g in entity.groups],
-                delta.numerator,
-                delta.denominator,
-                len(entity.groups),
-            )
-        )
-
-    best_order: tuple[int, ...] | None = None
-    best_obj: int | None = None
-    explored = 0
-    for perm in permutations(range(n)):
-        explored += 1
-        feasible = True
-        for gid, omegas, dnum, dden, k in ents:
-            favored = [0] * k
-            seen = [0] * k
-            below = 0
-            for p in range(n - 1, -1, -1):
-                g = gid[perm[p]]
-                favored[g] += below - seen[g]
-                seen[g] += 1
-                below += 1
-            hi = lo = 0
-            for g in range(1, k):
-                if favored[g] * omegas[hi] > favored[hi] * omegas[g]:
-                    hi = g
-                if favored[g] * omegas[lo] < favored[lo] * omegas[g]:
-                    lo = g
-            if (favored[hi] * omegas[lo] - favored[lo] * omegas[hi]) * dden > (
-                dnum * omegas[hi] * omegas[lo]
-            ):
-                feasible = False
-                break
-        if not feasible:
-            continue
-        objective = 0
-        for i in range(n - 1):
-            row = wm[perm[i]]
-            for j in range(i + 1, n):
-                objective += row[perm[j]]
-        if best_obj is None or objective < best_obj:
-            best_obj = objective
-            best_order = perm
+    pairs = enabled_entities(spec, index)
+    perms = permutations(range(n))
+    best_order = next((p for p in perms if _order_satisfies(p, pairs)), None)
     if best_order is None:
         raise Infeasible("no permutation satisfies the fairness thresholds")
-    assert best_obj is not None
+    best_obj = ranking_objective(wm, best_order)
+    for perm in perms:
+        objective = ranking_objective(wm, perm)
+        if objective < best_obj and _order_satisfies(perm, pairs):
+            best_obj, best_order = objective, perm
     return KemenySolution(
         Ranking(tuple(table.candidate_ids[i] for i in best_order)),
         best_obj,
         True,
-        explored,
+        math.factorial(n),
     )

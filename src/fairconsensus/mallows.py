@@ -25,11 +25,11 @@ each sized by the element budget ``_STREAM_CHUNK``: besides its rows, a
 batch holds its position array and a fixed scratch, never a second
 batch-sized array.
 
-A large batch finds its insertion points through a guide table (Chen &
-Asau, AIIE Trans. 1974) instead of a binary search per key: the table
-starts each key at the answer for the bucket edge below it, one pass steps
-it forward once, and only the few keys still short of their answer are
-binary-searched. See ``_GuideTable`` for why this is exact.
+A step that meets a large first batch finds every batch's insertion points
+through a guide table (Chen & Asau, AIIE Trans. 1974) instead of a binary
+search per key: the table starts each key at the answer for the bucket edge
+below it, one pass steps it forward once, and only the few keys still short
+of their answer are binary-searched. See ``_GuideTable`` for why this is exact.
 """
 
 from __future__ import annotations
@@ -169,19 +169,20 @@ def _insertion_cumsum(powers: np.ndarray, i: int) -> np.ndarray:
     return np.cumsum(powers[i - 1 :: -1])
 
 
-#: A step looks its batch up through its guide table only when ``rows *
-#: log2(size) >= _GUIDE_MIN_WORK`` (a binary search costs about log2(size)
-#: per key, the table a fixed cost per step; the two met near 6 000 rows at
-#: size 4, 3 000 at 32, 2 000 at 128 and 1 300 at 2 048 on a 2-core Xeon VM)
-#: and ``rows >= _GUIDE_ROWS_PER_ENTRY * size``, which keeps the tables a
-#: call holds (16 bytes an entry, one table a step) under half the bytes of
-#: one batch's rows.
+#: A step builds a guide table, and looks every batch up through it, only
+#: when its first batch has ``rows * log2(size) >= _GUIDE_MIN_WORK`` (a
+#: binary search costs about log2(size) per key, the table a fixed cost per
+#: step; the two met near 6 000 rows at size 4, 3 000 at 32, 2 000 at 128
+#: and 1 300 at 2 048 on a 2-core Xeon VM) and ``rows >=
+#: _GUIDE_ROWS_PER_ENTRY * size``, which keeps the tables a call holds (16
+#: bytes an entry, one table a step) under half the bytes of one batch's rows.
 _GUIDE_MIN_WORK = 14_000
 _GUIDE_ROWS_PER_ENTRY = 4
 
 
 def _guide_pays(rows: int, size: int) -> bool:
-    """Whether a batch of ``rows`` keys should use a table of ``size``."""
+    """Whether a step whose first batch has ``rows`` keys should build a
+    table of ``size``."""
     return (
         rows * (size.bit_length() - 1) >= _GUIDE_MIN_WORK
         and rows >= _GUIDE_ROWS_PER_ENTRY * size
@@ -230,19 +231,6 @@ def _guide_size(length: int) -> int:
     return 1 << (length - 1).bit_length()
 
 
-def _insertion_points(
-    powers: np.ndarray, i: int, u: np.ndarray, guide: _GuideTable | None
-) -> np.ndarray:
-    """Each uniform's insertion slot at step ``i``, through ``guide`` if
-    any; a step without one sums its weights afresh."""
-    if guide is None:
-        cum = _insertion_cumsum(powers, i)
-        return np.searchsorted(cum[:-1], u * cum[-1], side="right")
-    if _guide_pays(len(u), guide.size):
-        return guide.lookup(u)
-    return np.searchsorted(guide.padded[:-1], u * guide.total, side="right")
-
-
 def iter_ranking_batches(
     modal_indices: Sequence[int],
     theta: float,
@@ -266,12 +254,12 @@ def iter_ranking_batches(
     batch once yielded, so a consumer that also drops it (as
     ``borda_streamed`` does) never holds two batches at once.
 
-    Each step finds its batch's insertion points through a guide table
-    (``_GuideTable``, built at most once per call) when the batch is large
-    enough to pay for it (``_guide_pays``), and by one binary search per key
-    otherwise; both give the same slots. Positions are kept in the narrowest
-    of ``int8``/``int16``/``int32`` that holds n, so the per-step shift
-    reads as few bytes as it can.
+    A step whose first (largest) batch pays for a guide table
+    (``_guide_pays``) builds one ``_GuideTable`` per call and finds every
+    batch's insertion points through it; the other steps binary-search each
+    key. Both give the same slots, whatever the batch size. Positions are
+    kept in the narrowest of ``int8``/``int16``/``int32`` that holds n, so
+    the per-step shift reads as few bytes as it can.
     """
     _check_theta(theta)
     if num_rankings < 0:
@@ -302,8 +290,13 @@ def iter_ranking_batches(
         # pos[i, r]: where row r currently holds the i-th modal candidate
         pos = np.zeros((n, count), dtype=pos_dtype)
         for step, guide in enumerate(guides):
-            # no view of a uniform block outlives the call, so ``del`` frees them
-            point = _insertion_points(powers, step + 2, next(uniforms), guide)
+            # no name holds a uniform block past its lookup, so ``del`` frees them
+            if guide is None:  # sum the step's weights afresh
+                cum = _insertion_cumsum(powers, step + 2)
+                x = next(uniforms) * cum[-1]
+                point = np.searchsorted(cum[:-1], x, side="right")
+            else:
+                point = guide.lookup(next(uniforms))
             point = point.astype(pos_dtype)
             earlier = pos[: step + 1]
             # candidates at or after the insertion point move down one; the

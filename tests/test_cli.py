@@ -6,6 +6,7 @@ import csv
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fairconsensus
-from fairconsensus import Ranking, cli, pd_loss
+from fairconsensus import Ranking, cli, consensus, pd_loss
 from fairconsensus.cli import METHODS, main
 from fairconsensus.mallows import derive_seed
 
@@ -861,6 +862,16 @@ class TestInputBoundary:
                 "--delta must lie in [0, 1], got '1.5'", id="delta-range",
             ),
             pytest.param(
+                [*AGGREGATE, "--delta", "9" * 5_000], None,
+                f"--delta must lie in [0, 1], got '{'9' * 5_000}'",
+                id="delta-past-int-digit-limit",
+            ),
+            pytest.param(
+                [*AGGREGATE[:-1], ""], None,
+                "fairconsensus aggregate: argument --out: must name a directory, got ''",
+                id="out-empty",
+            ),
+            pytest.param(
                 [*AGGREGATE, "--delta-attr", "race"], None,
                 "--delta-attr expects NAME=VALUE, got 'race'", id="delta-attr-malformed",
             ),
@@ -1295,7 +1306,8 @@ def test_aggregate_matches_experiment_cells(grid_case):
     ],
 )
 def test_written_files_and_timing_sidecars(grid_case, argv, files):
-    """What the golden digests leave out: the file set and both timing files."""
+    """What the golden digests leave out: the file set, its modes under
+    umask 022 and both timing files."""
     Path("config.json").write_text(
         json.dumps(
             {
@@ -1309,8 +1321,14 @@ def test_written_files_and_timing_sidecars(grid_case, argv, files):
             }
         )
     )
-    assert main(argv) == 0
+    old_umask = os.umask(0o022)
+    try:
+        assert main(argv) == 0
+    finally:
+        os.umask(old_umask)
     assert sorted(os.listdir("out")) == sorted({*files, "timing.json"})
+    modes = {stat.S_IMODE(os.stat(f"out/{name}").st_mode) for name in os.listdir("out")}
+    assert modes == {0o644}
     timing = json.loads(Path("out/timing.json").read_text())
     assert list(timing) == ["millis"]
     assert isinstance(timing["millis"], int) and timing["millis"] >= 0
@@ -1323,3 +1341,61 @@ def test_written_files_and_timing_sidecars(grid_case, argv, files):
         ]
         assert len(runs) == 3 * 2 * 3 * 2
         assert all(int(row["millis"]) >= 0 for row in timings)
+
+
+class TestExactSizeGate:
+    """An exact solve over more than ``max_exact_n`` candidates exits 2
+    before any precedence matrix is built, and in an experiment before
+    anything is sampled."""
+
+    @pytest.fixture
+    def refuse_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oversized exact solve built a matrix or sampled")
+
+        monkeypatch.setattr(cli, "build_precedence_matrix", refuse)
+        monkeypatch.setattr(consensus, "build_precedence_matrix", refuse)
+        monkeypatch.setattr(cli, "sample_mallows", refuse)
+
+    @pytest.mark.parametrize("method", ["kemeny", "fair-kemeny", "kemeny-weighted"])
+    def test_aggregate(self, grid_case, capsys, refuse_work, method):
+        assert main([*AGGREGATE, "--method", method, "--max-exact-n", "11"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: exact solve limited to 11 candidates, got 12\n"
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize("method", ["kemeny", "fair-kemeny", "kemeny-weighted"])
+    def test_experiment(self, grid_case, capsys, refuse_work, method):
+        config = {**SMALL_EXPERIMENT, "methods": ["borda", method], "max_exact_n": 11}
+        Path("config.json").write_text(json.dumps(config))
+        assert main(EXPERIMENT) == 2
+        err = capsys.readouterr().err
+        assert err == "error: exact solve limited to 11 candidates, got 12\n"
+        assert not Path("out").exists()
+
+    def test_other_methods_ignore_the_limit(self, grid_case):
+        config = {**SMALL_EXPERIMENT, "methods": ["borda", "fair-copeland"], "max_exact_n": 11}
+        Path("config.json").write_text(json.dumps(config))
+        assert main(EXPERIMENT) == 0
+        assert main([*AGGREGATE, "--method", "schulze", "--max-exact-n", "11"]) == 0
+
+
+class TestPublish:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_files_take_the_mode_open_gives(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            cli.publish(tmp_path, {"a.csv": "x\n", "b.json": "{}\n"})
+        finally:
+            os.umask(old)
+        for name in ("a.csv", "b.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
+
+    def test_failed_write_exits_2_and_leaves_no_temp_file(self, grid_case, capsys):
+        Path("out/report.json").mkdir(parents=True)
+        assert main(AGGREGATE) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        # each file is atomic, not the set: the one renamed before stays
+        assert sorted(os.listdir("out")) == ["consensus.csv", "report.json"]
+        assert os.listdir("out/report.json") == []

@@ -229,6 +229,20 @@ class TestBudgetEnvironment:
         with pytest.raises(ParseError, match="FAIRCONSENSUS_BUDGET_MS"):
             kemeny_exact(matrix)
 
+    def test_valid_value_is_the_default(self, monkeypatch):
+        monkeypatch.setenv("FAIRCONSENSUS_BUDGET_MS", "0")
+        assert consensus.resolve_budget_ms(None) == 0
+        assert consensus.resolve_budget_ms(60_000) == 60_000
+        # a spent budget stops the search at its first deadline check;
+        # an explicit one beats the environment's
+        table = helpers.grid_table(20, 1, 1)
+        rankings = helpers.random_ranking_set(table, 5, random.Random(2))
+        matrix = build_precedence_matrix(rankings, table)
+        spent = kemeny_exact(matrix)
+        assert (spent.optimal, spent.nodes_explored) == (False, 512)
+        solved = kemeny_exact(matrix, time_budget_ms=60_000)
+        assert solved.optimal and solved.nodes_explored > 512
+
 
 class TestCondorcetMethods:
     def test_copeland_hand_example(self, abc_table):

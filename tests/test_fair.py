@@ -411,6 +411,19 @@ class TestRepairWalkPinned:
         ]
         assert _sha(outcomes) == WIDE_LABELS_DIGEST
 
+    def test_clean_scan_cap(self):
+        # race and gender only, found by a seeded search: the scan for a
+        # swap pair that agrees on the other attribute gives up after 48
+        # legal pairs and settles for the first; without the cap, or with
+        # one of 30 or 200, this walk ends elsewhere
+        table = helpers.grid_table(120, 3, 2)
+        spec = FairnessSpec(delta_default=Fraction(1, 20), intersection_attrs=None)
+        order = list(table.candidate_ids)
+        random.Random(1).shuffle(order)
+        outcome = _walk_outcome(Ranking(tuple(order)), spec, spec.build_index(table))
+        assert outcome[2] == 39
+        assert _sha(outcome) == SCAN_CAP_DIGEST
+
 
 WIDE_DIGEST = "3e18f3ac278968e25585cc532a8d575224b932fe0e3ba961d33f669b5ba977a1"
 UNEQUAL_CELLS_DIGEST = "a56cfdb96ddcabbc6d2dc0675a89b850fa7e48c37d4b84289c11c8f0ac457334"
@@ -419,6 +432,7 @@ TIED_DIGEST = "72cd2cf7128ec278a97d98b45f687d596ef3bdd85c1e8afe545c4a6ba91f940a"
 ODD_PARITY_DIGEST = "f3a2f91c035672597a3748b728a3062d255ae1405760494d884151c0b3309588"
 SMALL_RANDOM_DIGEST = "39477806612a5c9e65c764305886267cc449a55228263d66d138463e5e7140fa"
 WIDE_LABELS_DIGEST = "f64c77b23600eb8128ef115ca489e54be5491de597402caf0eef39d8316edd70"
+SCAN_CAP_DIGEST = "f21e4d7a484bd0d7858d5b4d99720ce366a599f4c680a58e881bfb49a595731a"
 
 
 class TestFairKemeny:
