@@ -426,7 +426,7 @@ def publish(out_dir: str | Path, files: Mapping[str, str]) -> None:
     for name, content in files.items():
         path = Path(out_dir) / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{name}.")
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
                 handle.write(content)

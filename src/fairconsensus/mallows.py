@@ -15,21 +15,26 @@ the k-th output of ``SplitMix64(mix(seed + gamma * (r + 1)))``, making
 output independent of generation order or batching.
 
 A batch decodes one insertion step at a time across all of its rankings
-(Lu & Boutilier, JMLR 2014): each step reads one row of uniforms, finds
-each ranking's insertion point, and shifts the earlier candidates at or
-after that point down by one in a position array of the narrowest integer
-type that holds n (``int8`` up to n = 127); a scatter then writes the
-finished rows. The uniforms are made a block of steps at a time, in place
+(Lu & Boutilier, JMLR 2014): each step reads one row of SplitMix64 words,
+finds each ranking's insertion point, and shifts the earlier candidates at
+or after that point down by one in a position array of the narrowest
+integer type that holds n (``int8`` up to n = 127); a scatter then writes
+the finished rows. The words are mixed a block of steps at a time, in place
 in two reused buffers, and the scatter runs a chunk of rows at a time,
 each sized by the element budget ``_STREAM_CHUNK``: besides its rows, a
-batch holds its position array and a fixed scratch, never a second
-batch-sized array.
+batch holds its position array, one byte a cell of shift mask and a fixed
+scratch, never a second batch-sized array of 8-byte cells.
 
-A step that meets a large first batch finds every batch's insertion points
-through a guide table (Chen & Asau, AIIE Trans. 1974) instead of a binary
-search per key: the table starts each key at the answer for the bucket edge
-below it, one pass steps it forward once, and only the few keys still short
-of their answer are binary-searched. See ``_GuideTable`` for why this is exact.
+A step's key for a word ``w`` is ``w * 2**-64 * total``, the word's share of
+the step's summed weights. A step that meets a large first batch finds
+every batch's insertion points through a guide table (Chen & Asau, AIIE
+Trans. 1974) on the words themselves, never making the keys: the key is
+monotone in ``w``, so each cumulative weight has a least word whose key
+reaches it, and one vectorized bisection over the 2**64 words finds these
+thresholds for all of a call's tables at once. The table starts each word
+at the answer for the bucket its top bits name, one pass steps it forward
+once, and only the few words still short of their answer are
+binary-searched. See ``_GuideTable`` for why this is exact.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .model import (
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK = 0xFFFFFFFFFFFFFFFF
 _INV_2_64 = float(2**-64)
+_ONE = np.uint64(1)
 
 
 def _mix64_int(z: int) -> int:
@@ -100,10 +106,11 @@ def derive_seed(seed: int, *parts: int) -> int:
 def _uniform_matrix(
     seed: int, start_index: int, count: int, width: int
 ) -> Iterator[np.ndarray]:
-    """Uniforms in [0, 1) for steps 1..width, a block of steps at a time.
+    """The ``uint64`` words for steps 1..width, a block of steps at a time.
 
     Column k of every block is ranking start+k's substream; the blocks'
-    rows, read in order, are its steps. A block holds about
+    rows, read in order, are its steps, and ``_keys`` turns a word into the
+    uniform ``w * 2**-64`` in [0, 1] times a total. A block holds about
     ``_STREAM_CHUNK`` elements (at least one step) and reuses the memory of
     the block before it, so read each block before asking for the next.
     """
@@ -117,13 +124,18 @@ def _uniform_matrix(
     scratch = np.empty_like(words)
     for first in range(0, width, block):
         z = words[: width - first]
-        tmp = scratch[: len(z)]
         np.add(steps[first : first + block, None], sub, out=z)
-        _mix64_np(z, tmp)
-        # the finalizer is done with ``tmp``: its bytes take the floats
-        uniforms = tmp.view(np.float64)
-        np.multiply(z, _INV_2_64, out=uniforms)
-        yield uniforms
+        _mix64_np(z, scratch[: len(z)])
+        yield z
+
+
+def _keys(words: np.ndarray, total) -> np.ndarray:
+    """Each word's key: its uniform ``w * 2**-64`` times ``total`` (one
+    total, or one per word), the float every insertion step compares with
+    its cumulative weights."""
+    keys = words * _INV_2_64
+    keys *= total
+    return keys
 
 
 def _mix64_np(z: np.ndarray, tmp: np.ndarray) -> None:
@@ -172,10 +184,14 @@ def _insertion_cumsum(powers: np.ndarray, i: int) -> np.ndarray:
 #: A step builds a guide table, and looks every batch up through it, only
 #: when its first batch has ``rows * log2(size) >= _GUIDE_MIN_WORK`` (a
 #: binary search costs about log2(size) per key, the table a fixed cost per
-#: step; the two met near 6 000 rows at size 4, 3 000 at 32, 2 000 at 128
-#: and 1 300 at 2 048 on a 2-core Xeon VM) and ``rows >=
-#: _GUIDE_ROWS_PER_ENTRY * size``, which keeps the tables a call holds (16
-#: bytes an entry, one table a step) under half the bytes of one batch's rows.
+#: step plus 64 bisection rounds per entry, about 0.2 us an entry; on a
+#: 2-core Xeon VM, over theta in [0, 1], the two met near 4 000-6 000 rows
+#: at size 4, 2 000-6 000 at 32 and 1 500-6 000 at 128, at or below where
+#: a float-keyed table met it measured the same way, and 6 000-16 000 at
+#: 2 048, where a table that loses costs under 5 % of that step's shift)
+#: and ``rows >= _GUIDE_ROWS_PER_ENTRY * size``, which keeps the tables a
+#: call holds (16 bytes an entry, one table a step) under half the bytes of
+#: one batch's rows.
 _GUIDE_MIN_WORK = 14_000
 _GUIDE_ROWS_PER_ENTRY = 4
 
@@ -190,45 +206,86 @@ def _guide_pays(rows: int, size: int) -> bool:
 
 
 class _GuideTable:
-    """Bucket starts for one step's insertion-point lookup.
+    """Bucket starts for one step's insertion-point lookup, on raw words.
 
-    The answer for a uniform ``u`` is ``searchsorted(cum[:-1], u * cum[-1],
-    "right")``: how many cumulative weights lie at or below ``u``'s share of
-    the total, capped at the last slot. ``starts[b]`` is that answer at
-    ``u = b / size``. ``size`` is a power of two, so ``b = floor(u * size)`` meets
-    ``b / size <= u`` exactly, and rounding ``u * cum[-1]`` is monotone in
-    ``u``: ``starts[b]`` never passes the key's answer. ``starts`` has
-    ``size + 1`` entries because ``u`` can be exactly 1.0 (a 64-bit word
-    within 2**10 of 2**64 rounds up); ``padded`` ends in ``+inf``, which no
-    key reaches, so a key at the last slot stays there. The table keeps
-    all of ``cum`` it needs: ``total`` is ``cum[-1]`` and ``padded`` starts
-    with ``cum[:-1]``.
+    The answer for a word ``w`` is ``searchsorted(cum[:-1], _keys(w,
+    cum[-1]), "right")``: how many of the step's cumulative weights lie at
+    or below its key, capped at the last slot. The key is monotone in ``w``
+    (the word's rounding to float and the product's are both monotone), so
+    ``cum[k] <= key(w)`` holds exactly when ``w >= thresholds[k]``, the least
+    word whose key reaches ``cum[k]``; such a word exists because the
+    largest word's key is ``cum[-1]`` itself. The answer is then
+    ``searchsorted(thresholds, w, "right")`` for every 64-bit word, with no
+    float in sight. ``size`` is a power of two and ``starts[b]`` is the
+    answer at the bucket edge ``b << shift``, the least word whose top
+    ``log2(size)`` bits read ``b``, so it never passes the answer of a word
+    in its bucket ``w >> shift``. ``bounds`` holds ``thresholds - 1`` and
+    then ``2**64 - 1``, which no word passes, so ``bounds[k] < w`` steps a
+    word forward and a word at the last slot stays there. A zero threshold
+    (a weight that underflowed to 0) wraps to ``2**64 - 1`` in ``bounds``,
+    but every start already sits past it; adding one wraps it back.
     """
 
-    __slots__ = ("size", "starts", "padded", "total")
+    __slots__ = ("shift", "starts", "bounds")
 
-    def __init__(self, cum: np.ndarray) -> None:
-        self.size = _guide_size(len(cum))
-        self.total = cum[-1]
-        edges = np.arange(self.size + 1) / self.size * self.total
-        self.starts = np.searchsorted(cum[:-1], edges, side="right")
-        self.padded = np.append(cum[:-1], np.inf)
+    def __init__(self, thresholds: np.ndarray) -> None:
+        size = _guide_size(len(thresholds) + 1)
+        self.shift = np.uint64(65 - size.bit_length())
+        edges = np.arange(size, dtype=np.uint64) << self.shift
+        self.starts = np.searchsorted(thresholds, edges, side="right")
+        self.bounds = np.append(thresholds - _ONE, np.uint64(_MASK))
 
-    def lookup(self, u: np.ndarray) -> np.ndarray:
-        x = u * self.total
-        found = self.starts[(u * self.size).astype(np.intp)]
-        padded = self.padded
-        found += padded[found] <= x
+    def lookup(self, words: np.ndarray) -> np.ndarray:
+        # the shift is at least 1, so every bucket fits an int64 as it is
+        found = self.starts[(words >> self.shift).view(np.int64)]
+        bounds = self.bounds
+        found += bounds[found] < words
         # still short of the answer after one step forward: binary-search
-        short = np.flatnonzero(padded[found] <= x)
+        short = np.flatnonzero(bounds[found] < words)
         if short.size:
-            found[short] = np.searchsorted(padded[:-1], x[short], side="right")
+            found[short] = np.searchsorted(
+                bounds[:-1] + _ONE, words[short], side="right"
+            )
         return found
+
+
+def _thresholds(targets: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """The least word whose key (``_keys(w, totals[k])``) reaches
+    ``targets[k]``, for every k at once.
+
+    A plain bisection over the 2**64 words, one bit a round from the top:
+    the key is monotone in the word, so ``below`` ends at the largest word
+    whose key falls short of its target (or at 0), and the threshold is the
+    word after it. That never passes ``2**64 - 1``, whose key is the whole
+    total, which no target passes. It calls ``_keys`` itself, so it finds
+    the words the unguided search would place, bit for bit.
+    """
+    below = np.zeros(len(targets), dtype=np.uint64)
+    probe = np.empty_like(below)
+    for bit in range(63, -1, -1):
+        np.bitwise_or(below, np.uint64(1 << bit), out=probe)
+        np.copyto(below, probe, where=_keys(probe, totals) < targets)
+    # a zero target is reached by word 0 itself
+    return below + (_keys(below, totals) < targets).astype(np.uint64)
 
 
 def _guide_size(length: int) -> int:
     """The smallest power of two at or above ``length``."""
     return 1 << (length - 1).bit_length()
+
+
+def _guide_tables(powers: np.ndarray, steps: Sequence[int]) -> list[_GuideTable]:
+    """One ``_GuideTable`` for each of ``steps``, from one bisection over
+    all of their cumulative weights."""
+    cums = [_insertion_cumsum(powers, i) for i in steps]
+    if not cums:
+        return []
+    thresholds = _thresholds(
+        np.concatenate([cum[:-1] for cum in cums]),
+        np.repeat([cum[-1] for cum in cums], [len(cum) - 1 for cum in cums]),
+    )
+    ends = np.cumsum([len(cum) - 1 for cum in cums])
+    return [_GuideTable(t) for t in np.split(thresholds, ends[:-1])]
 
 
 def iter_ranking_batches(
@@ -245,21 +302,25 @@ def iter_ranking_batches(
     ``num_rankings`` (0 yields nothing) and a ``batch_size`` below 1 raise
     ``ValueError``.
 
-    Working set: one batch's rows (``int64``, 8 bytes a cell) and position
-    array (1 to 4 bytes a cell), scratch buffers of about ``_STREAM_CHUNK``
-    elements each (one step's ``count`` elements when a batch is larger
-    than that), and the guide tables, kept under half the bytes of the
-    rows (100 kB at n = 100 and 8 192 rows); a step without a table sums
-    its at most n weights again for each batch. The generator drops each
-    batch once yielded, so a consumer that also drops it (as
+    Working set: one batch's rows (``int64``, 8 bytes a cell), its
+    position array (1 to 4 bytes a cell) and shift mask (1 byte a cell),
+    the last two freed before the rows are allocated, scratch buffers of
+    about ``_STREAM_CHUNK`` elements each (one step's ``count`` elements
+    when a batch is larger than that), and the guide tables, kept under
+    half the bytes of the rows (100 kB at n = 100 and 8 192 rows). The
+    bisection that builds the tables works once per call on a few arrays of
+    one 8-byte cell per threshold (5 000 at n = 100). A step without a table
+    sums its at most n weights again for each batch. The generator drops
+    each batch once yielded, so a consumer that also drops it (as
     ``borda_streamed`` does) never holds two batches at once.
 
     A step whose first (largest) batch pays for a guide table
     (``_guide_pays``) builds one ``_GuideTable`` per call and finds every
-    batch's insertion points through it; the other steps binary-search each
-    key. Both give the same slots, whatever the batch size. Positions are
-    kept in the narrowest of ``int8``/``int16``/``int32`` that holds n, so
-    the per-step shift reads as few bytes as it can.
+    batch's insertion points through it on the raw words; the other steps
+    turn their words into keys and binary-search each. Both give the same
+    slots, whatever the batch size. Positions are kept in the narrowest of
+    ``int8``/``int16``/``int32`` that holds n, so the per-step shift reads
+    as few bytes as it can.
     """
     _check_theta(theta)
     if num_rankings < 0:
@@ -276,34 +337,36 @@ def iter_ranking_batches(
     chunk = max(1, _STREAM_CHUNK // max(n, 1))
     # the first batch is the largest, so it decides which steps need a table
     rows_per_batch = min(batch_size, num_rankings)
-    # a step's weights are kept only inside its table: n(n - 1)/2 floats in
-    # all would outgrow a batch's rows at large n
-    guides = [
-        _GuideTable(_insertion_cumsum(powers, i))
-        if _guide_pays(rows_per_batch, _guide_size(i))
-        else None
-        for i in range(2, n + 1)
+    # a table keeps only its thresholds, not the step's weights: n(n - 1)/2
+    # floats in all would outgrow a batch's rows at large n
+    tabled = [
+        i for i in range(2, n + 1) if _guide_pays(rows_per_batch, _guide_size(i))
     ]
+    tables = dict(zip(tabled, _guide_tables(powers, tabled)))
+    guides = [tables.get(i) for i in range(2, n + 1)]
     for start in range(0, num_rankings, batch_size):
         count = min(batch_size, num_rankings - start)
-        uniforms = chain.from_iterable(_uniform_matrix(seed, start, count, n - 1))
+        words = chain.from_iterable(_uniform_matrix(seed, start, count, n - 1))
         # pos[i, r]: where row r currently holds the i-th modal candidate
         pos = np.zeros((n, count), dtype=pos_dtype)
+        moves = np.empty((n, count), dtype=np.bool_)
         for step, guide in enumerate(guides):
-            # no name holds a uniform block past its lookup, so ``del`` frees them
+            # no name holds a word block past its lookup, so ``del`` frees them
             if guide is None:  # sum the step's weights afresh
                 cum = _insertion_cumsum(powers, step + 2)
-                x = next(uniforms) * cum[-1]
-                point = np.searchsorted(cum[:-1], x, side="right")
+                keys = _keys(next(words), cum[-1])
+                point = np.searchsorted(cum[:-1], keys, side="right")
             else:
-                point = guide.lookup(next(uniforms))
+                point = guide.lookup(next(words))
             point = point.astype(pos_dtype)
             earlier = pos[: step + 1]
             # candidates at or after the insertion point move down one; the
             # int8 view keeps the add on numpy's integer loop, not a bool cast
-            earlier += (earlier >= point).view(np.int8)
+            earlier += np.greater_equal(
+                earlier, point, out=moves[: step + 1]
+            ).view(np.int8)
             pos[step + 1] = point
-        del uniforms  # spent; free their buffers before the rows are allocated
+        del words, moves  # spent; free their buffers before the rows are allocated
         rows = np.empty((count, n), dtype=np.int64)
         lanes = np.arange(count)
         for r in range(0, count, chunk):

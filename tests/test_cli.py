@@ -1391,6 +1391,19 @@ class TestPublish:
         for name in ("a.csv", "b.json"):
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
 
+    def test_a_name_with_a_directory_lands_there(self, tmp_path):
+        # the temp file is named from the file's own name, beside it in sub/
+        old = os.umask(0o022)
+        try:
+            cli.publish(tmp_path, {"sub/b.json": "{}\n"})
+        finally:
+            os.umask(old)
+        written = tmp_path / "sub" / "b.json"
+        assert written.read_text() == "{}\n"
+        assert stat.S_IMODE(written.stat().st_mode) == 0o644
+        assert os.listdir(tmp_path / "sub") == ["b.json"]
+        assert os.listdir(tmp_path) == ["sub"]
+
     def test_failed_write_exits_2_and_leaves_no_temp_file(self, grid_case, capsys):
         Path("out/report.json").mkdir(parents=True)
         assert main(AGGREGATE) == 2

@@ -176,7 +176,7 @@ class TestStreamedWorkingSet:
     and their block and chunk edges leave every output unchanged."""
 
     def test_peak_is_about_one_batch(self):
-        # one batch's rows are 8192 * 100 * 8 bytes; a whole batch's uniforms,
+        # one batch's rows are 8192 * 100 * 8 bytes; a whole batch's words,
         # scatter index or tiled points, or a batch kept across ``next()``,
         # would each add about as much again
         table = helpers.grid_table(100, 2, 2)

@@ -33,7 +33,15 @@ from fairconsensus import (
     sample_mallows,
     scenario_targets,
 )
-from fairconsensus.mallows import _GuideTable, _insertion_cumsum, _uniform_matrix
+from fairconsensus.mallows import (
+    _INV_2_64,
+    _guide_pays,
+    _guide_tables,
+    _insertion_cumsum,
+    _keys,
+    _thresholds,
+    _uniform_matrix,
+)
 from fairconsensus.model import ALL
 
 import helpers
@@ -272,7 +280,7 @@ def _clamped_search(cum, u):
 
 
 class TestGuideTable:
-    """The guide-table lookup gives each key its binary-search slot."""
+    """The word-keyed guide table gives each word its float binary-search slot."""
 
     @given(
         n=st.integers(2, 160),
@@ -284,27 +292,47 @@ class TestGuideTable:
     )
     def test_matches_binary_search(self, n, theta, data):
         # large theta underflows the small weights to 0: leading zeros and
-        # ties in cum, on which "right" and "left" searches differ
+        # ties in cum, on which "right" and "left" searches differ, and
+        # thresholds at word 0
         powers = float(np.exp(-theta)) ** np.arange(n, dtype=np.float64)
-        cum = _insertion_cumsum(powers, data.draw(st.integers(2, n)))
-        guide = _GuideTable(cum)
-        size = guide.size
-        assert size >= len(cum) and size & (size - 1) == 0
-        edges = np.arange(size + 1) / size
-        assert np.array_equal(guide.starts, _clamped_search(cum, edges))
-        bucket = np.array(data.draw(st.lists(st.integers(0, size), max_size=20)))
-        u = np.concatenate(
-            [
-                [0.0, 1.0, np.nextafter(1.0, 0.0)],
-                bucket / size,  # on a bucket edge
-                np.nextafter(bucket / size, -1.0).clip(0.0),  # just below one
-                data.draw(st.lists(st.floats(0, 1), max_size=50)),
-                next(
-                    _uniform_matrix(data.draw(st.integers(0, 2**64 - 1)), 0, 2000, 1)
-                )[0],
-            ]
+        step = data.draw(st.integers(2, n))
+        cum = _insertion_cumsum(powers, step)
+        thresholds = _thresholds(cum[:-1], np.full(len(cum) - 1, cum[-1]))
+        assert thresholds.dtype == np.uint64
+        # the least word whose key reaches each weight
+        assert np.all(_keys(thresholds, cum[-1]) >= cum[:-1])
+        stepped = thresholds > np.uint64(0)
+        below = thresholds[stepped] - np.uint64(1)
+        assert np.all(_keys(below, cum[-1]) < cum[:-1][stepped])
+        (guide,) = _guide_tables(powers, [step])
+        assert np.array_equal(guide.bounds[:-1] + np.uint64(1), thresholds)
+        shift = int(guide.shift)
+        size = len(guide.starts)
+        assert size >= len(cum) and size & (size - 1) == 0 and size << shift == 2**64
+        edges = [b << shift for b in range(size)]
+        marks = [int(t) for t in thresholds]
+        words = np.array(
+            [0, 1, 2**64 - 1]
+            + edges
+            + [e - 1 for e in edges if e]
+            + marks
+            + [t - 1 for t in marks if t]
+            + data.draw(st.lists(st.integers(0, 2**64 - 1), max_size=50)),
+            dtype=np.uint64,
         )
-        assert np.array_equal(guide.lookup(u), _clamped_search(cum, u))
+        mixed = next(_uniform_matrix(data.draw(st.integers(0, 2**64 - 1)), 0, 2000, 1))
+        words = np.concatenate([words, mixed[0]])
+        slots = _clamped_search(cum, words * _INV_2_64)
+        assert np.array_equal(guide.lookup(words), slots)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("theta", [0.0, 0.7, 40.0, math.inf])
+    def test_tabled_steps_match_scalar_reference(self, theta, seed):
+        # one batch of 8 192 rows at n = 8 tables steps 3 to 8, not step 2
+        assert _guide_pays(8192, 4) and not _guide_pays(8192, 2)
+        modal = [5, 2, 7, 0, 3, 6, 1, 4]
+        (rows,) = iter_ranking_batches(modal, theta, 8192, seed, batch_size=8192)
+        assert rows.tolist() == helpers.reference_mallows(modal, theta, 8192, seed)
 
 
 class TestMixedBlockModal:
